@@ -215,7 +215,9 @@ fn split_fields(line: &str, expected: usize) -> Result<Vec<String>, String> {
 /// Parse a numeric string with optional thousands separators, `$`/`%` noise,
 /// and `K`/`M`/`B` suffixes. Returns `(value, granularity)` where the
 /// granularity reflects the suffix rounding (e.g. `"6.7M"` has granularity
-/// 100 000 because one decimal of a million is shown).
+/// 100 000 because one decimal of a million is shown). Non-finite values
+/// (`NaN`, `inf`, and anything that overflows, suffix included) are
+/// rejected: no fusion method can rank them against real claims.
 fn parse_number(raw: &str) -> Option<(f64, f64)> {
     let cleaned: String = raw
         .chars()
@@ -230,14 +232,17 @@ fn parse_number(raw: &str) -> Option<(f64, f64)> {
         Some('B') => (&cleaned[..cleaned.len() - 1], 1e9),
         _ => (cleaned.as_str(), 1.0),
     };
-    let value: f64 = body.parse().ok()?;
+    let value = body.parse::<f64>().ok()? * multiplier;
+    if !value.is_finite() {
+        return None;
+    }
     if multiplier == 1.0 {
         return Some((value, 0.0));
     }
     // Granularity: one unit of the least-significant shown digit.
     let decimals = body.split('.').nth(1).map(|d| d.len() as i32).unwrap_or(0);
     let granularity = multiplier * 10f64.powi(-decimals);
-    Some((value * multiplier, granularity))
+    Some((value, granularity))
 }
 
 /// Parse a time as raw minutes or `HH:MM` (24-hour).
@@ -309,6 +314,35 @@ mod tests {
         assert_eq!(parse_number("6.7M").unwrap().1, 100_000.0);
         assert_eq!(parse_number("76B").unwrap().0, 76e9);
         assert!(parse_number("n/a").is_none());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for raw in [
+            "NaN", "nan", "inf", "-inf", "+inf", "infinity", "1e400", "-1e400", "NaNK", "infM",
+            "-infB", "1e300B", "-1e306K",
+        ] {
+            assert!(parse_number(raw).is_none(), "{raw} parsed");
+        }
+        // Large but finite values still parse.
+        assert_eq!(parse_number("1e300").unwrap().0, 1e300);
+        assert_eq!(parse_number("1e299B").unwrap().0, 1e299 * 1e9);
+
+        let mut reader = CsvReader::new(schema());
+        for raw in ["NaN", "-inf", "1e400", "1e300B"] {
+            let error = reader
+                .read_snapshot(0, &format!("yahoo,AAPL,Last price,{raw}\n"))
+                .unwrap_err();
+            assert_eq!(error.line, 1);
+            assert!(error.message.contains("invalid number"), "{raw}: {error}");
+            let gold_error = reader
+                .read_gold(&format!("AAPL,Volume,{raw}\n"))
+                .unwrap_err();
+            assert!(
+                gold_error.message.contains("invalid number"),
+                "{raw}: {gold_error}"
+            );
+        }
     }
 
     #[test]

@@ -315,26 +315,33 @@ pub fn for_each_slot<F>(out: &mut [f64], plan: Option<&ChunkPlan>, body: F)
 where
     F: Fn(usize, &mut f64) + Sync + Send,
 {
-    match plan {
-        None => {
-            for (i, slot) in out.iter_mut().enumerate() {
-                body(i, slot);
-            }
+    for_each_range(out, plan, |range, slice| {
+        for (index, slot) in range.zip(slice) {
+            body(index, slot);
         }
+    });
+}
+
+/// Run `body(range, &mut out[range])` once over all of `out` (plan `None`)
+/// or once per chunk of `plan` (which must partition `0..out.len()`), on
+/// disjoint slices — the block form of [`for_each_slot`], for bodies that
+/// fill a whole range of slots in one pass.
+pub fn for_each_range<F>(out: &mut [f64], plan: Option<&ChunkPlan>, body: F)
+where
+    F: Fn(Range<usize>, &mut [f64]) + Sync + Send,
+{
+    match plan {
+        None => body(0..out.len(), out),
         Some(plan) => {
             debug_assert_eq!(plan.len(), out.len());
             let mut tasks = Vec::with_capacity(plan.num_chunks());
             let mut rest = out;
             for r in plan.ranges() {
                 let (head, tail) = rest.split_at_mut(r.len());
-                tasks.push((r.start, head));
+                tasks.push((r, head));
                 rest = tail;
             }
-            run_chunks(tasks, |(start, slice)| {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    body(start + off, slot);
-                }
-            });
+            run_chunks(tasks, |(range, slice)| body(range, slice));
         }
     }
 }
@@ -511,6 +518,15 @@ mod tests {
         let plan = ChunkPlan::balanced_by_weights(&[1; 11], 4);
         for_each_slot(&mut par, Some(&plan), body);
         assert_eq!(seq, par);
+        // The block form hands each chunk its own range and slice.
+        let mut blocks = vec![0.0f64; 11];
+        for_each_range(&mut blocks, Some(&plan), |range, slice| {
+            assert_eq!(range.len(), slice.len());
+            for (i, slot) in range.zip(slice) {
+                *slot = (i * i) as f64;
+            }
+        });
+        assert_eq!(seq, blocks);
     }
 
     #[test]

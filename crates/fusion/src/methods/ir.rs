@@ -11,6 +11,27 @@
 //! 2-ESTIMATES averages complement-aware votes and applies an affine
 //! rescaling of all scores to `[0, 1]`; 3-ESTIMATES additionally estimates a
 //! per-item difficulty that dampens votes on hard items.
+//!
+//! # Per-round cost
+//!
+//! Every round is O(Σ_items candidates × providers): each provider of an
+//! item votes on every candidate of it, for or against, and each source's
+//! trust reads every candidate of the items it claims. 2-/3-ESTIMATES reach
+//! that bound by looking up which candidate each provider claims in an
+//! owner array built once per run (`FusionProblem::provider_owners_into`)
+//! instead of scanning the candidate's provider list. Both phases walk the
+//! items in order and their providers in the inner loop, and neither
+//! changes a floating-point sum:
+//!
+//! * the vote phase dampens each provider's trust once and advances all of
+//!   the item's candidate sums together. A candidate's sum still starts at
+//!   zero and adds one term per provider in item-provider order; only now
+//!   the sums of one item advance side by side instead of one after
+//!   another;
+//! * the trust update adds each source's terms in its claim order, which
+//!   is item order, candidate by candidate, as the per-source walk did. The
+//!   item-major walk builds an item's terms once per candidate a provider
+//!   can claim, so the inner loop is a plain sum with no per-term branch.
 
 use crate::chunking::{self, ChunkPlans};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
@@ -145,9 +166,13 @@ fn run_estimates(
     let FusionScratch {
         plane: votes,
         item_f: hardness,
+        providers: owners,
         ..
     } = scratch;
     votes.reset_for(problem);
+    // Which local candidate each item-provider slot claims.
+    problem.provider_owners_into(owners);
+    let owners_r: &[u32] = owners;
     // Per-item difficulty in [0, 1]; 0 = easy (votes count fully).
     hardness.clear();
     hardness.resize(problem.num_items(), 0.5);
@@ -165,24 +190,24 @@ fn run_estimates(
             || (),
             |i, out, _| {
                 let item = problem.item(i);
-                let dampen = |t: f64| -> f64 {
-                    if difficulty {
-                        t * (1.0 - hardness_r[i]) + 0.5 * hardness_r[i]
+                let h = hardness_r[i];
+                out.fill(0.0);
+                let owners = &owners_r[item.provider_range()];
+                for (&s, &owner) in item.providers().iter().zip(owners) {
+                    let t = trust_r.overall[s as usize];
+                    let t = if difficulty {
+                        t * (1.0 - h) + 0.5 * h
                     } else {
                         t
+                    };
+                    let u = 1.0 - t;
+                    for (c, vote) in out.iter_mut().enumerate() {
+                        *vote += if c == owner as usize { t } else { u };
                     }
-                };
-                for (c, cand) in item.candidates().enumerate() {
-                    let mut vote = 0.0;
-                    for &s in item.providers() {
-                        let t = dampen(trust_r.overall[s as usize]);
-                        if cand.providers().contains(&s) {
-                            vote += t;
-                        } else {
-                            vote += 1.0 - t;
-                        }
-                    }
-                    out[c] = vote / item.num_providers().max(1) as f64;
+                }
+                let n = item.num_providers().max(1) as f64;
+                for vote in out.iter_mut() {
+                    *vote /= n;
                 }
             },
         );
@@ -201,23 +226,49 @@ fn run_estimates(
             });
         }
         // Trust update: average over claimed values' votes and the complement
-        // of the competing values' votes; then affine rescaling.
+        // of the competing values' votes; then affine rescaling. The walk is
+        // item-major so each item's terms are built once: row `o` of `terms`
+        // is what a provider claiming candidate `o` adds, the votes with
+        // every entry but `o` complemented. A source chunk takes only the
+        // providers in its range.
         let mut new_trust = vec![0.0; problem.num_sources()];
         let votes_r: &_ = votes;
-        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
-            let mut acc = 0.0;
-            let mut count = 0usize;
-            for &(i, c) in problem.claims(s) {
-                for (c2, &v) in votes_r.item(i as usize).iter().enumerate() {
-                    if c2 == c as usize {
-                        acc += v;
-                    } else {
-                        acc += 1.0 - v;
+        chunking::for_each_range(&mut new_trust, source_plan, |sources, acc| {
+            let mut count = vec![0usize; acc.len()];
+            let mut terms = Vec::new();
+            for item in problem.items() {
+                let providers = item.providers();
+                let lo = providers.partition_point(|&s| (s as usize) < sources.start);
+                let hi = providers.partition_point(|&s| (s as usize) < sources.end);
+                if lo == hi {
+                    continue;
+                }
+                let row = votes_r.item(item.index());
+                let width = row.len();
+                terms.clear();
+                for o in 0..width {
+                    terms.extend(row.iter().map(|&v| 1.0 - v));
+                    terms[o * width + o] = row[o];
+                }
+                let owners = &owners_r[item.provider_range()][lo..hi];
+                for (&s, &owner) in providers[lo..hi].iter().zip(owners) {
+                    let k = s as usize - sources.start;
+                    let o = owner as usize;
+                    let mut a = acc[k];
+                    for &term in &terms[o * width..(o + 1) * width] {
+                        a += term;
                     }
-                    count += 1;
+                    acc[k] = a;
+                    count[k] += width;
                 }
             }
-            *slot = if count == 0 { 0.5 } else { acc / count as f64 };
+            for (slot, &count) in acc.iter_mut().zip(&count) {
+                *slot = if count == 0 {
+                    0.5
+                } else {
+                    *slot / count as f64
+                };
+            }
         });
         rescale_to_unit(&mut new_trust);
         let new_estimate = TrustEstimate {

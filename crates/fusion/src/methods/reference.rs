@@ -1,21 +1,33 @@
-//! Test-only oracle: the pre-dense-layout ACCUCOPY implementation.
+//! Test-only oracles: earlier implementations the hot paths must match bit
+//! for bit.
 //!
-//! The dense hot path (triangular [`CopyMatrix`](crate::copymatrix::CopyMatrix),
-//! CSR co-claims, the flat [`VotePlane`](crate::types::VotePlane), scratch
-//! buffers) is a *representation* change — the equivalence tests in
-//! [`copyaware`](super::copyaware) assert that every selection and trust
-//! vector is bit-identical to what this original map-and-nested-`Vec`
-//! implementation computes. Keep this file in sync with nothing: it is frozen
-//! on purpose. (It reads the problem through the thin slice views — the only
-//! access path that still exists — but every per-round structure it builds is
-//! the original nested one, and its private helpers are verbatim copies of
-//! the pre-flattening `argmax_selection` and `update_trust_from_scores`.)
+//! * The pre-dense-layout ACCUCOPY. The dense hot path (triangular
+//!   [`CopyMatrix`](crate::copymatrix::CopyMatrix), CSR co-claims, the flat
+//!   [`VotePlane`](crate::types::VotePlane), scratch buffers) is a
+//!   *representation* change — the equivalence tests in
+//!   [`copyaware`](super::copyaware) assert that every selection and trust
+//!   vector is bit-identical to what this original map-and-nested-`Vec`
+//!   implementation computes. (It reads the problem through the thin slice
+//!   views — the only access path that still exists — but every per-round
+//!   structure it builds is the original nested one, and its private
+//!   helpers are verbatim copies of the pre-flattening `argmax_selection`
+//!   and `update_trust_from_scores`.)
+//! * The quadratic INVEST / POOLEDINVEST and 2-/3-ESTIMATES rounds, before
+//!   their per-round work became linear. The tests at the bottom of this
+//!   file pin the four methods against them on seeded Stock and Flight
+//!   days, at several chunk counts and in every trust mode.
+//!
+//! Keep this file in sync with nothing: it is frozen on purpose.
 
+use crate::chunking::{self, ChunkPlans};
 use crate::methods::bayesian::{clamp_trust, softmax_into};
 use crate::methods::copyaware::AccuCopy;
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
 use crate::problem::FusionProblem;
-use crate::types::{AttrTrust, FusionOptions, FusionResult, TrustEstimate};
+use crate::types::{
+    normalize_by_max, rescale_to_unit, AttrTrust, FusionOptions, FusionResult, FusionScratch,
+    TrustEstimate,
+};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -259,4 +271,336 @@ pub(crate) fn reference_run(
         rounds,
         start,
     )
+}
+
+/// The original INVEST / POOLEDINVEST iteration: the pay-back re-sums each
+/// claimed candidate's investment over its provider list.
+pub(crate) fn reference_run_invest(
+    name: &str,
+    growth: f64,
+    pooled: bool,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut trust = initial_trust(problem, options, 1.0);
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    // Reusable buffers: the vote plane, the per-source investment, and the
+    // per-item non-linear-growth scratch.
+    let FusionScratch {
+        plane: votes,
+        source_f: invested,
+        cand_a: grown,
+        ..
+    } = scratch;
+    votes.reset_for(problem);
+    invested.clear();
+    invested.resize(problem.num_sources(), 0.0);
+    grown.clear();
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        // Invested amount per source: trust spread uniformly over its claims.
+        for (s, claims) in problem.claims_by_source().enumerate() {
+            invested[s] = if claims.is_empty() {
+                0.0
+            } else {
+                trust.overall[s] / claims.len() as f64
+            };
+        }
+        let invested_r: &[f64] = invested;
+        // Accumulated investment per candidate (per item, so any item-range
+        // chunking is embarrassingly parallel).
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            &mut (),
+            || (),
+            |i, out, _| {
+                let item = problem.item(i);
+                for (slot, cand) in out.iter_mut().zip(item.candidates()) {
+                    *slot = cand
+                        .providers()
+                        .iter()
+                        .map(|&s| invested_r[s as usize])
+                        .sum::<f64>();
+                }
+            },
+        );
+        // Non-linear growth, optionally rescaled per item so the votes sum to
+        // the total investment on the item. The `total` / `grown_total` sums
+        // are *per item*, so this phase is also embarrassingly parallel; the
+        // chunked path gets a fresh growth buffer per chunk.
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            grown,
+            Vec::new,
+            |_, item_votes, grown: &mut Vec<f64>| {
+                let total: f64 = item_votes.iter().sum();
+                grown.clear();
+                grown.resize(item_votes.len(), 0.0);
+                for (g, h) in grown.iter_mut().zip(item_votes.iter()) {
+                    *g = h.powf(growth);
+                }
+                let grown_total: f64 = grown.iter().sum();
+                for (slot, g) in item_votes.iter_mut().zip(grown.iter()) {
+                    *slot = if pooled {
+                        if grown_total > 0.0 {
+                            g / grown_total * total
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        *g
+                    };
+                }
+            },
+        );
+
+        // Pay the votes back to the investors, proportionally to their share
+        // of the investment. Each source's claim-order sum lands in its own
+        // slot, so the source axis chunks without re-association.
+        let mut new_trust = vec![0.0; problem.num_sources()];
+        let votes_r: &_ = votes;
+        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            for &(i, c) in problem.claims(s) {
+                let total_investment: f64 = problem
+                    .item(i as usize)
+                    .candidate(c as usize)
+                    .providers()
+                    .iter()
+                    .map(|&p| invested_r[p as usize])
+                    .sum();
+                if total_investment > 0.0 {
+                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total_investment;
+                }
+            }
+        });
+        if !pooled {
+            normalize_by_max(&mut new_trust);
+        }
+        let new_estimate = TrustEstimate {
+            overall: new_trust,
+            per_attr: None,
+        };
+        let change = new_estimate.max_change(&trust);
+        trust = new_estimate;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    FusionResult::from_selection(name, problem, selection, trust, rounds, start)
+}
+
+/// The original 2-ESTIMATES / 3-ESTIMATES iteration (`difficulty = true`
+/// enables the third estimate): candidate-major votes with a `contains` scan
+/// of the candidate's providers per (candidate, provider) pair.
+pub(crate) fn reference_run_estimates(
+    name: &str,
+    difficulty: bool,
+    problem: &FusionProblem,
+    options: &FusionOptions,
+    scratch: &mut FusionScratch,
+) -> FusionResult {
+    let start = Instant::now();
+    let mut trust = initial_trust(problem, options, 0.8);
+    let plans = ChunkPlans::from_options(options, problem);
+    let (item_plan, source_plan) = ChunkPlans::split(&plans);
+    let FusionScratch {
+        plane: votes,
+        item_f: hardness,
+        ..
+    } = scratch;
+    votes.reset_for(problem);
+    // Per-item difficulty in [0, 1]; 0 = easy (votes count fully).
+    hardness.clear();
+    hardness.resize(problem.num_items(), 0.5);
+    let mut rounds = 0usize;
+    for _ in 0..effective_rounds(options) {
+        rounds += 1;
+        // Complement-aware vote: providers contribute their (difficulty-
+        // dampened) trust, non-providers contribute their distrust.
+        let trust_r = &trust;
+        let hardness_r: &[f64] = hardness;
+        chunking::for_each_item(
+            votes,
+            item_plan,
+            &mut (),
+            || (),
+            |i, out, _| {
+                let item = problem.item(i);
+                let dampen = |t: f64| -> f64 {
+                    if difficulty {
+                        t * (1.0 - hardness_r[i]) + 0.5 * hardness_r[i]
+                    } else {
+                        t
+                    }
+                };
+                for (c, cand) in item.candidates().enumerate() {
+                    let mut vote = 0.0;
+                    for &s in item.providers() {
+                        let t = dampen(trust_r.overall[s as usize]);
+                        if cand.providers().contains(&s) {
+                            vote += t;
+                        } else {
+                            vote += 1.0 - t;
+                        }
+                    }
+                    out[c] = vote / item.num_providers().max(1) as f64;
+                }
+            },
+        );
+        // Affine rescaling of all votes to [0, 1] — the plane is already the
+        // flat item-major vector the old code materialized each round; the
+        // chunked variant splits into the exact global min/max reduction and
+        // a per-chunk elementwise pass.
+        chunking::rescale_plane_to_unit(votes, item_plan);
+        // Difficulty update: items whose best value is uncertain are hard.
+        // Per item, so the item plan chunks it directly.
+        if difficulty {
+            let votes_r: &_ = votes;
+            chunking::for_each_slot(hardness, item_plan, |i, h| {
+                let best = votes_r.item(i).iter().cloned().fold(0.0, f64::max);
+                *h = (1.0 - best).clamp(0.0, 1.0);
+            });
+        }
+        // Trust update: average over claimed values' votes and the complement
+        // of the competing values' votes; then affine rescaling.
+        let mut new_trust = vec![0.0; problem.num_sources()];
+        let votes_r: &_ = votes;
+        chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
+            let mut acc = 0.0;
+            let mut count = 0usize;
+            for &(i, c) in problem.claims(s) {
+                for (c2, &v) in votes_r.item(i as usize).iter().enumerate() {
+                    if c2 == c as usize {
+                        acc += v;
+                    } else {
+                        acc += 1.0 - v;
+                    }
+                    count += 1;
+                }
+            }
+            *slot = if count == 0 { 0.5 } else { acc / count as f64 };
+        });
+        rescale_to_unit(&mut new_trust);
+        let new_estimate = TrustEstimate {
+            overall: new_trust,
+            per_attr: None,
+        };
+        let change = new_estimate.max_change(&trust);
+        trust = new_estimate;
+        if change < options.epsilon {
+            break;
+        }
+    }
+    let mut selection = Vec::new();
+    chunking::argmax_plane_into(votes, item_plan, &mut selection);
+    FusionResult::from_selection(name, problem, selection, trust, rounds, start)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::methods::{Invest, PooledInvest, ThreeEstimates, TwoEstimates};
+
+    /// Run method `k` of the four (INVEST, POOLEDINVEST, 2-ESTIMATES,
+    /// 3-ESTIMATES) with the current code on the shared warm `scratch` and
+    /// with the frozen loops on a fresh one: `(new, old)`.
+    fn run_both(
+        k: usize,
+        problem: &FusionProblem,
+        opts: &FusionOptions,
+        scratch: &mut FusionScratch,
+    ) -> (FusionResult, FusionResult) {
+        let invest = Invest::default();
+        let pooled = PooledInvest::default();
+        let fresh = &mut FusionScratch::new();
+        match k {
+            0 => (
+                invest.run_with_scratch(problem, opts, scratch),
+                reference_run_invest(&invest.name(), invest.growth, false, problem, opts, fresh),
+            ),
+            1 => (
+                pooled.run_with_scratch(problem, opts, scratch),
+                reference_run_invest(&pooled.name(), pooled.growth, true, problem, opts, fresh),
+            ),
+            2 => (
+                TwoEstimates.run_with_scratch(problem, opts, scratch),
+                reference_run_estimates(&TwoEstimates.name(), false, problem, opts, fresh),
+            ),
+            _ => (
+                ThreeEstimates.run_with_scratch(problem, opts, scratch),
+                reference_run_estimates(&ThreeEstimates.name(), true, problem, opts, fresh),
+            ),
+        }
+    }
+
+    /// Assert that method `k`'s current and frozen runs agree bit for bit
+    /// (selection, rounds, trust bits, selected values); returns the
+    /// current run.
+    fn assert_bit_identical(
+        k: usize,
+        problem: &FusionProblem,
+        opts: &FusionOptions,
+        scratch: &mut FusionScratch,
+        context: &str,
+    ) -> FusionResult {
+        let (new, old) = run_both(k, problem, opts, scratch);
+        let label = format!(
+            "{} on {context}, input trust {}, warm {}",
+            new.method,
+            opts.input_trust.is_some(),
+            opts.warm_start_trust.is_some()
+        );
+        let bits = |trust: &[f64]| trust.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(new.selection, old.selection, "{label}: selection");
+        assert_eq!(new.rounds, old.rounds, "{label}: rounds");
+        assert_eq!(
+            bits(&new.trust.overall),
+            bits(&old.trust.overall),
+            "{label}: trust bits"
+        );
+        assert_eq!(new.selected, old.selected, "{label}: selected values");
+        new
+    }
+
+    #[test]
+    fn linear_rounds_are_bit_identical_to_the_frozen_loops() {
+        let mut scratch = FusionScratch::new();
+        for domain in [
+            datagen::generate(&datagen::stock_config(2012).scaled(0.02, 0.1)),
+            datagen::generate(&datagen::flight_config(2012).scaled(0.1, 0.06)),
+        ] {
+            let last = domain.collection.num_days() - 1;
+            for day in [0, last] {
+                let problem = FusionProblem::from_snapshot(&domain.collection.day(day).snapshot);
+                let input: Vec<f64> = (0..problem.num_sources())
+                    .map(|s| 0.3 + 0.6 * ((s * 37) % 101) as f64 / 100.0)
+                    .collect();
+                for k in 0..4 {
+                    for chunks in [1, 2, 3, 16] {
+                        let context =
+                            format!("{} day {day}, {chunks} chunks", domain.config.domain);
+                        let plain = FusionOptions::standard().with_intra_day_chunks(chunks);
+                        let cold =
+                            assert_bit_identical(k, &problem, &plain, &mut scratch, &context);
+                        let with_input = plain.clone().with_input_trust(input.clone());
+                        assert_bit_identical(k, &problem, &with_input, &mut scratch, &context);
+                        // A warm seed as the delta engine hands it over: the
+                        // previous trust, with a slot it has no value for.
+                        let mut warm = cold.trust.overall;
+                        warm[0] = f64::NAN;
+                        let with_warm = plain.with_warm_start_trust(warm);
+                        assert_bit_identical(k, &problem, &with_warm, &mut scratch, &context);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -12,6 +12,16 @@
 //! rescaling makes normalization unnecessary (and whose trust scale therefore
 //! drifts far away from sampled accuracies, reproducing the large trust
 //! deviation the paper reports for it).
+//!
+//! # Per-round cost
+//!
+//! Every round of every method here is linear in the problem: O(claims +
+//! candidates). INVEST's pay-back divides each claim's vote by the total
+//! investment on the claimed candidate. That total is the sum the first
+//! phase of the round already computes into the plane — the same providers,
+//! added in the same order — so the round copies it aside before the growth
+//! pass overwrites the plane and looks it up per claim. Re-summing the
+//! provider list per claim instead cost O(Σ_c |providers(c)|²) per round.
 
 use crate::chunking::{self, ChunkPlans};
 use crate::methods::{effective_rounds, initial_trust, FusionMethod};
@@ -178,12 +188,14 @@ fn run_invest(
     let mut trust = initial_trust(problem, options, 1.0);
     let plans = ChunkPlans::from_options(options, problem);
     let (item_plan, source_plan) = ChunkPlans::split(&plans);
-    // Reusable buffers: the vote plane, the per-source investment, and the
-    // per-item non-linear-growth scratch.
+    // Reusable buffers: the vote plane, the per-source investment, the
+    // per-item non-linear-growth scratch, and the per-candidate total
+    // investment.
     let FusionScratch {
         plane: votes,
         source_f: invested,
         cand_a: grown,
+        cand_b: total_investment,
         ..
     } = scratch;
     votes.reset_for(problem);
@@ -220,6 +232,11 @@ fn run_invest(
                 }
             },
         );
+        // These sums are the pay-back denominators below; keep them before
+        // the growth pass overwrites the plane.
+        total_investment.clear();
+        total_investment.extend_from_slice(votes.values());
+        let total_investment_r: &[f64] = total_investment;
         // Non-linear growth, optionally rescaled per item so the votes sum to
         // the total investment on the item. The `total` / `grown_total` sums
         // are *per item*, so this phase is also embarrassingly parallel; the
@@ -256,17 +273,12 @@ fn run_invest(
         // slot, so the source axis chunks without re-association.
         let mut new_trust = vec![0.0; problem.num_sources()];
         let votes_r: &_ = votes;
+        let cand_offsets = problem.item_cand_offsets();
         chunking::for_each_slot(&mut new_trust, source_plan, |s, slot| {
             for &(i, c) in problem.claims(s) {
-                let total_investment: f64 = problem
-                    .item(i as usize)
-                    .candidate(c as usize)
-                    .providers()
-                    .iter()
-                    .map(|&p| invested_r[p as usize])
-                    .sum();
-                if total_investment > 0.0 {
-                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total_investment;
+                let total = total_investment_r[cand_offsets[i as usize] as usize + c as usize];
+                if total > 0.0 {
+                    *slot += votes_r.get(i as usize, c as usize) * invested_r[s] / total;
                 }
             }
         });

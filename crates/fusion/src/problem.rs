@@ -169,9 +169,15 @@ impl<'a> PreparedItem<'a> {
     /// (sorted, deduplicated).
     #[inline]
     pub fn providers(&self) -> &'a [u32] {
-        let lo = self.problem.item_provider_offsets[self.index] as usize;
-        let hi = self.problem.item_provider_offsets[self.index + 1] as usize;
-        &self.problem.item_providers[lo..hi]
+        &self.problem.item_providers[self.provider_range()]
+    }
+
+    /// Range of the item's provider slots in the flat per-item provider
+    /// unions — the slots [`FusionProblem::provider_owners_into`] indexes.
+    #[inline]
+    pub(crate) fn provider_range(&self) -> Range<usize> {
+        self.problem.item_provider_offsets[self.index] as usize
+            ..self.problem.item_provider_offsets[self.index + 1] as usize
     }
 
     /// Total number of providers of the item.
@@ -746,6 +752,34 @@ impl FusionProblem {
         &self.item_attrs
     }
 
+    /// Fill `owners` with, for every item-provider slot (the flat per-item
+    /// provider unions, item `i` at [`PreparedItem::provider_range`]), the
+    /// local index of the candidate that provider claims.
+    ///
+    /// Every slot has exactly one owner: a snapshot holds at most one value
+    /// per source per item (`SnapshotBuilder::add` replaces an earlier
+    /// value), and bucketing puts each observation in one bucket. The
+    /// complement-vote methods use the array to replace a `contains` scan of
+    /// every candidate's provider list with one lookup per provider.
+    pub(crate) fn provider_owners_into(&self, owners: &mut Vec<u32>) {
+        owners.clear();
+        owners.resize(self.item_providers.len(), u32::MAX);
+        for item in self.items() {
+            let union = item.providers();
+            let base = item.provider_range().start;
+            for (c, cand) in item.candidates().enumerate() {
+                for s in cand.providers() {
+                    let k = union
+                        .binary_search(s)
+                        .expect("candidate provider missing from the item's provider union");
+                    debug_assert_eq!(owners[base + k], u32::MAX, "source claims two candidates");
+                    owners[base + k] = c as u32;
+                }
+            }
+        }
+        debug_assert!(!owners.contains(&u32::MAX), "unowned item-provider slot");
+    }
+
     /// Dense index of a source id, if it is part of the problem (O(1)).
     pub fn source_index(&self, source: SourceId) -> Option<usize> {
         self.source_index.get(&source).copied()
@@ -940,6 +974,53 @@ mod tests {
             *builder.prepare_delta(&day0, &back),
             FusionProblem::from_snapshot(&day0)
         );
+    }
+
+    /// Every item provider appears in exactly one candidate's provider list,
+    /// and the owner array names that candidate.
+    fn assert_providers_owned_once(problem: &FusionProblem) {
+        let mut owners = Vec::new();
+        problem.provider_owners_into(&mut owners);
+        for item in problem.items() {
+            for (&s, &owner) in item.providers().iter().zip(&owners[item.provider_range()]) {
+                let claiming: Vec<usize> = item
+                    .candidates()
+                    .enumerate()
+                    .filter(|(_, cand)| cand.providers().contains(&s))
+                    .map(|(c, _)| c)
+                    .collect();
+                assert_eq!(
+                    claiming,
+                    vec![owner as usize],
+                    "source {s} on item {:?}",
+                    item.id()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_item_provider_has_exactly_one_owner() {
+        let domain = datagen::generate(&datagen::stock_config(7).scaled(0.02, 0.1));
+        // Planted 10%-dirty successors: most rows are spliced forward.
+        let stream = datagen::mutation_stream(domain.reference_snapshot(), 3, 0.1, 7);
+        let mut builder = ProblemBuilder::new();
+        assert_providers_owned_once(builder.prepare(&stream.days[0]));
+        for pair in stream.days.windows(2) {
+            let delta = datamodel::SnapshotDelta::between(&pair[0], &pair[1]);
+            assert_providers_owned_once(builder.prepare_delta(&pair[1], &delta));
+        }
+        assert_providers_owned_once(builder.prepare(&snapshot()));
+        // A delta that drops two sources and an item, and the way back.
+        let day0 = snapshot();
+        let mut b = SnapshotBuilder::new(1);
+        b.add(SourceId(1), ObjectId(0), AttrId(0), Value::number(105.0));
+        b.add(SourceId(2), ObjectId(0), AttrId(0), Value::number(105.0));
+        let day1 = b.build_with_tolerance(day0.schema_arc(), day0.tolerance().clone());
+        let delta = datamodel::SnapshotDelta::between(&day0, &day1);
+        assert_providers_owned_once(builder.prepare_delta(&day1, &delta));
+        let back = datamodel::SnapshotDelta::between(&day1, &day0);
+        assert_providers_owned_once(builder.prepare_delta(&day0, &back));
     }
 
     #[test]
