@@ -1,5 +1,5 @@
 //! Criterion guard and micro-benchmark for the sharded batch runner: the
-//! multi-day evaluation through the warm-arena `BatchRunner` vs the
+//! multi-day evaluation through the warm `BatchRunner` vs the
 //! per-(day, method) `ParallelRunner` fan-out vs the sequential baseline,
 //! plus the cost of a warm in-place problem refill vs a cold preparation.
 //!
@@ -9,9 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::{generate, stock_config};
-use evaluation::{evaluate_days_sequential, same_results, BatchRunner, ParallelRunner, ShardArena};
+use evaluation::{evaluate_days_sequential, same_results, BatchRunner, ParallelRunner};
 use fusion::kernels::{self, Backend};
-use fusion::FusionProblem;
+use fusion::{FusionProblem, ProblemBuilder};
 
 fn bench_batch_vs_parallel(c: &mut Criterion) {
     let stock = generate(&stock_config(2012).scaled(0.02, 0.2));
@@ -63,7 +63,7 @@ fn bench_batch_vs_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_arena_refill(c: &mut Criterion) {
+fn bench_builder_refill(c: &mut Criterion) {
     let stock = generate(&stock_config(2012).scaled(0.03, 0.1));
     let snapshot = stock.reference_snapshot();
 
@@ -71,10 +71,10 @@ fn bench_arena_refill(c: &mut Criterion) {
     group.bench_function("cold_from_snapshot", |b| {
         b.iter(|| FusionProblem::from_snapshot(snapshot))
     });
-    group.bench_function("warm_arena_refill", |b| {
-        let mut arena = ShardArena::new();
-        arena.prepare(snapshot);
-        b.iter(|| arena.prepare(snapshot).num_claims())
+    group.bench_function("warm_builder_refill", |b| {
+        let mut builder = ProblemBuilder::new();
+        builder.prepare(snapshot);
+        b.iter(|| builder.prepare(snapshot).num_claims())
     });
     group.finish();
 }
@@ -82,6 +82,6 @@ fn bench_arena_refill(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).warm_up_time(std::time::Duration::from_millis(500)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_batch_vs_parallel, bench_arena_refill
+    targets = bench_batch_vs_parallel, bench_builder_refill
 }
 criterion_main!(benches);

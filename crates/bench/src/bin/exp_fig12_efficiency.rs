@@ -40,8 +40,8 @@
 //! The artifact also carries a `delta` record: a dirty-fraction sweep (1%,
 //! 10%, 50% changed claims per day) comparing the warm
 //! [`fusion::DeltaEngine`] against cold per-day re-preparation on a planted
-//! mutation stream ([`datagen::mutation_stream`]), exact mode asserted
-//! bit-identical and the bounded mode's re-fused item fraction reported.
+//! mutation stream ([`datagen::mutation_stream`]), its results asserted
+//! bit-identical to the cold pass.
 
 use bench::{ExpArgs, Json, Table};
 use datagen::GeneratedDomain;
@@ -375,15 +375,14 @@ fn intra_day_report(args: &ExpArgs, repeats: usize) -> Json {
 /// Delta-engine measurement: a dirty-fraction sweep (1%, 10%, 50% changed
 /// claims per day) over a planted day-over-day mutation stream on a neutral
 /// scenario world. For each fraction the same successor days run twice:
-/// cold — every day fully re-prepared on a warm [`evaluation::ShardArena`]
-/// (the strongest full-refill baseline: allocation-warm, full recompute) —
-/// and warm, on one [`fusion::DeltaEngine`] in exact mode (results asserted
-/// bit-identical to the cold pass). A bounded-mode pass reports how far the
-/// dirty-set frontier shrinks the re-fused item count. Per-pass wall times
-/// are medians of `repeats` samples.
+/// cold — every day built from scratch with a throwaway scratch per method
+/// run — and warm, on one [`fusion::DeltaEngine`] (results asserted
+/// bit-identical to a full re-preparation on a warm
+/// [`fusion::ProblemBuilder`]). Per-pass wall times are medians of
+/// `repeats` samples.
 fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
-    use evaluation::{DeltaUsage, ShardArena};
-    use fusion::{DeltaEngine, DeltaPolicy};
+    use evaluation::DeltaUsage;
+    use fusion::{DeltaEngine, FusionScratch, ProblemBuilder};
 
     let world = datagen::Scenario::new("delta_sweep").with_seed(args.seed).build();
     let base = &world.domain.collection.reference_day().snapshot;
@@ -403,25 +402,25 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             num_days,
             method_names.len()
         ),
-        &["dirty", "cold (s)", "warm exact (s)", "speedup", "bounded (s)", "bounded re-fused"],
+        &["dirty", "cold (s)", "warm exact (s)", "speedup"],
     );
     let mut sweep = Vec::new();
     for &fraction in &fractions {
         let stream = datagen::mutation_stream(base, num_days, fraction, args.seed);
 
-        // Correctness pass (also the warm-up): exact mode must match the
+        // Correctness pass (also the warm-up): the engine must match the
         // cold full re-preparation bit for bit on every day and method.
         {
-            let mut arena = ShardArena::new();
-            let mut engine = DeltaEngine::with_policy(DeltaPolicy::exact());
+            let mut builder = ProblemBuilder::new();
+            let mut scratch = FusionScratch::new();
+            let mut engine = DeltaEngine::new();
             engine.advance(&stream.days[0]);
-            arena.prepare(&stream.days[0]);
             for day in &stream.days[1..] {
                 engine.advance(day);
-                arena.prepare(day);
+                let problem = builder.prepare(day);
                 for method in &methods {
                     let (warm, _) = engine.run(method.as_ref(), &options);
-                    let cold = arena.run(method.as_ref(), &options);
+                    let cold = method.run_with_scratch(problem, &options, &mut scratch);
                     assert_eq!(
                         warm.selection,
                         cold.selection,
@@ -457,13 +456,13 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             .collect();
         let cold_s = median_duration(&mut cold_samples).as_secs_f64();
 
-        // Warm passes: prime on the base day, then time advance + run over
+        // Warm pass: prime on the base day, then time advance + run over
         // the successor days.
-        let time_warm = |policy: DeltaPolicy| -> (f64, DeltaUsage) {
+        let (exact_s, exact_usage) = {
             let mut samples: Vec<Duration> = Vec::with_capacity(repeats);
             let mut usage = DeltaUsage::default();
             for rep in 0..repeats {
-                let mut engine = DeltaEngine::with_policy(policy.clone());
+                let mut engine = DeltaEngine::new();
                 engine.advance(&stream.days[0]);
                 for method in &methods {
                     let _ = engine.run(method.as_ref(), &options);
@@ -484,8 +483,6 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             }
             (median_duration(&mut samples).as_secs_f64(), usage)
         };
-        let (exact_s, exact_usage) = time_warm(DeltaPolicy::exact());
-        let (bounded_s, bounded_usage) = time_warm(DeltaPolicy::bounded());
 
         let speedup = cold_s / exact_s.max(f64::MIN_POSITIVE);
         table.row(&[
@@ -493,13 +490,6 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
             format!("{cold_s:.3}"),
             format!("{exact_s:.3}"),
             format!("{speedup:.2}x"),
-            format!("{bounded_s:.3}"),
-            format!(
-                "{}/{} ({:.1}%)",
-                bounded_usage.fused_items,
-                bounded_usage.total_items,
-                100.0 * bounded_usage.fused_fraction()
-            ),
         ]);
         sweep.push(
             Json::object()
@@ -507,11 +497,6 @@ fn delta_report(args: &ExpArgs, repeats: usize) -> Json {
                 .field("cold_s", Json::Number(cold_s))
                 .field("warm_exact_s", Json::Number(exact_s))
                 .field("exact_speedup", Json::Number(speedup))
-                .field("warm_bounded_s", Json::Number(bounded_s))
-                .field(
-                    "bounded_fused_fraction",
-                    Json::Number(bounded_usage.fused_fraction()),
-                )
                 .field("full_refreshes", Json::int(exact_usage.full_refreshes))
                 .field(
                     "mean_dirty_fraction",

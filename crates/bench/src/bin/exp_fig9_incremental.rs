@@ -3,9 +3,7 @@
 
 use bench::{ExpArgs, Table};
 use datagen::GeneratedDomain;
-use evaluation::{incremental_recall, incremental_recall_delta, EvaluationContext};
-use fusion::DeltaPolicy;
-use std::time::Instant;
+use evaluation::{incremental_recall, EvaluationContext};
 
 fn report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
     let day = domain.collection.reference_day();
@@ -43,55 +41,6 @@ fn report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
     println!();
 }
 
-/// The `--delta` leg: re-run the prefix ladder on one warm
-/// [`fusion::DeltaEngine`] (exact mode). Growing a source prefix is a pure
-/// source-axis delta under pinned tolerances, so the engine splices every
-/// item the new sources don't touch instead of re-bucketing the whole
-/// prefix; the cold pass re-prepares each prefix from scratch. (The two
-/// ladders restrict with different tolerance handling — recomputed vs.
-/// pinned — so the recall columns are reported, not asserted equal.)
-fn delta_report(domain: &GeneratedDomain, methods: &[&str], step: usize) {
-    let day = domain.collection.reference_day();
-    let context = EvaluationContext::new(&day.snapshot, &day.gold);
-
-    let t_cold = Instant::now();
-    let cold = incremental_recall(&context, methods, step);
-    let cold_wall = t_cold.elapsed();
-
-    let t_warm = Instant::now();
-    let (warm, usage) = incremental_recall_delta(&context, methods, step, DeltaPolicy::exact());
-    let warm_wall = t_warm.elapsed();
-
-    println!(
-        "[delta] {}: warm engine {:.3}s vs cold per-prefix pass {:.3}s over {} prefixes",
-        domain.config.domain,
-        warm_wall.as_secs_f64(),
-        cold_wall.as_secs_f64(),
-        usage.advances
-    );
-    println!(
-        "[delta]   re-fused {}/{} item slots ({:.1}%), full refreshes {}/{}, cache hits {}, \
-         mean dirty fraction {:.3}, prepare {:.3}s",
-        usage.fused_items,
-        usage.total_items,
-        100.0 * usage.fused_fraction(),
-        usage.full_refreshes,
-        usage.advances,
-        usage.cache_hits,
-        usage.mean_dirty_fraction(),
-        usage.prepare.as_secs_f64()
-    );
-    for (w, c) in warm.iter().zip(&cold) {
-        println!(
-            "[delta]   {}: pinned-prefix peak {:.3}, cold-prefix peak {:.3}",
-            w.method,
-            w.peak().map(|p| p.recall).unwrap_or(0.0),
-            c.peak().map(|p| p.recall).unwrap_or(0.0)
-        );
-    }
-    println!();
-}
-
 fn main() {
     let args = ExpArgs::from_env();
     let (stock, flight) = args.both_domains("Figure 9");
@@ -100,10 +49,6 @@ fn main() {
     let flight_methods = ["Vote", "PooledInvest", "Cosine", "2-Estimates", "PopAccu", "AccuCopy"];
     report(&stock, &stock_methods, 5);
     report(&flight, &flight_methods, 4);
-    if args.delta {
-        delta_report(&stock, &stock_methods, 5);
-        delta_report(&flight, &flight_methods, 4);
-    }
     println!("Paper: recall peaks at the 5th source for Stock and the 9th for Flight;");
     println!("       adding the remaining sources does not improve (and can hurt) recall.");
 }

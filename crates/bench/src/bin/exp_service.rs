@@ -4,10 +4,11 @@
 //! reader threads hammering the published state throughout — and report
 //! per-seal cost plus the warm-vs-cold convergence check on the final day.
 //!
-//! This is the serving-side companion of `exp_delta`: where that binary
-//! measures the engine, this one measures the shell around it (ingest
-//! idempotency bookkeeping, materialization, publication) and proves the
-//! read path never serves a torn or stale-diverged state.
+//! This is the serving-side companion of `exp_fig12_efficiency`'s delta
+//! sweep: where that sweep measures the engine, this binary measures the
+//! shell around it (ingest idempotency bookkeeping, materialization,
+//! publication) and proves the read path never serves a torn or
+//! stale-diverged state.
 //!
 //! Usage: `exp_service [--scale S] [--days N] [--seed K]`
 
@@ -119,10 +120,10 @@ fn main() {
         stats.ops_applied, stats.ops_duplicate, stats.ops_stale, stats.ops_rejected, stats.seals
     );
     println!(
-        "Engine: {} items fused across {} advances ({} full refreshes); mean seal {:.2} ms",
-        stats.delta.fused_items,
+        "Engine: {} advances ({} full refreshes, {} cached method runs); mean seal {:.2} ms",
         stats.delta.advances,
         stats.delta.full_refreshes,
+        stats.delta.cache_hits,
         stats.mean_seal().as_secs_f64() * 1e3
     );
     println!(
@@ -131,7 +132,7 @@ fn main() {
     );
 
     // Convergence: the final published day must carry the cold batch bits
-    // for every registry method (exact delta mode's contract, end to end
+    // for every registry method (the delta engine's contract, end to end
     // through the shell).
     let state = reader.state();
     let last = stream.days.last().expect("stream has days");

@@ -3,9 +3,7 @@
 
 use bench::{ExpArgs, Table};
 use datagen::GeneratedDomain;
-use evaluation::{evaluate_over_time, evaluate_over_time_delta};
-use fusion::DeltaPolicy;
-use std::time::Instant;
+use evaluation::evaluate_over_time;
 
 /// Paper Table-9 averages for reference.
 const PAPER_AVERAGE: [(&str, f64, f64); 16] = [
@@ -36,7 +34,7 @@ fn paper_avg(method: &str, flight: bool) -> String {
 }
 
 fn report(domain: &GeneratedDomain, flight: bool) {
-    let rows = evaluate_over_time(&domain.collection, false);
+    let rows = evaluate_over_time(&domain.collection);
     let mut table = Table::new(
         format!(
             "Table 9 ({}): precision over {} days",
@@ -57,62 +55,11 @@ fn report(domain: &GeneratedDomain, flight: bool) {
     table.print();
 }
 
-/// The `--delta` leg: re-run the month day-over-day on one warm
-/// [`fusion::DeltaEngine`] in exact mode, assert the rows equal the cold
-/// sharded pass bit-for-bit, and report warm-vs-cold wall time plus the
-/// engine's re-fused item accounting. Generated collections drift daily
-/// (values move, so the recomputed tolerances move), which pushes the engine
-/// toward its full-refresh fall-back — the leg reports how often that
-/// happened rather than hiding it.
-fn delta_report(domain: &GeneratedDomain) {
-    let t_cold = Instant::now();
-    let cold = evaluate_over_time(&domain.collection, false);
-    let cold_wall = t_cold.elapsed();
-
-    let t_warm = Instant::now();
-    let (warm, usage) = evaluate_over_time_delta(&domain.collection, DeltaPolicy::exact(), 0);
-    let warm_wall = t_warm.elapsed();
-
-    for (w, c) in warm.iter().zip(&cold) {
-        assert_eq!(
-            w.daily_precision, c.daily_precision,
-            "delta exact rows diverged from the cold pass for {}",
-            w.method
-        );
-    }
-
-    println!(
-        "[delta] {}: warm engine {:.3}s vs cold sharded pass {:.3}s over {} days (rows bit-identical)",
-        domain.config.domain,
-        warm_wall.as_secs_f64(),
-        cold_wall.as_secs_f64(),
-        domain.collection.num_days()
-    );
-    println!(
-        "[delta]   re-fused {}/{} item slots ({:.1}%), full refreshes {}/{}, identical days {}, \
-         cache hits {}, mean dirty fraction {:.3}, prepare {:.3}s",
-        usage.fused_items,
-        usage.total_items,
-        100.0 * usage.fused_fraction(),
-        usage.full_refreshes,
-        usage.advances,
-        usage.identical_days,
-        usage.cache_hits,
-        usage.mean_dirty_fraction(),
-        usage.prepare.as_secs_f64()
-    );
-    println!();
-}
-
 fn main() {
     let args = ExpArgs::from_env();
     let (stock, flight) = args.both_domains("Table 9");
     report(&stock, false);
     report(&flight, true);
-    if args.delta {
-        delta_report(&stock);
-        delta_report(&flight);
-    }
     println!("Paper: AccuFormatAttr is the best on Stock over the month (.941);");
     println!("       AccuCopy is the best on Flight (.987).");
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! exp_<name> [--scale S] [--days D] [--seed N] [--compare FILE]
-//!            [--batch] [--delta] [--repeats N] [--fail-on-regression PCT]
+//!            [--batch] [--repeats N] [--fail-on-regression PCT]
 //! ```
 //!
 //! * `--scale` multiplies the number of objects (default 0.25 — a quarter of
@@ -17,14 +17,9 @@
 //!   run against a checked-in `BENCH_fig12.json` trajectory point and prints
 //!   per-method speedup/regression;
 //! * `--batch` (read by `exp_fig8_accuracy` and `exp_fig12_efficiency`)
-//!   additionally runs the sharded warm-arena `BatchRunner` on the same
-//!   day selection, asserts its rows equal the sequential/parallel passes,
-//!   and reports wall-vs-wall speedup plus heap-allocation counts;
-//! * `--delta` (read by `exp_fig9_incremental` and `exp_table9_month`)
-//!   additionally runs the same workload on one warm [`fusion::DeltaEngine`]
-//!   (exact mode), asserts the rows equal the cold pass where the contract
-//!   guarantees it, and reports warm-vs-cold wall time plus re-fused item
-//!   counts;
+//!   additionally runs the sharded `BatchRunner` on the same day selection,
+//!   asserts its rows equal the sequential/parallel passes, and reports
+//!   wall-vs-wall speedup plus heap-allocation counts;
 //! * `--repeats` (read by `exp_fig12_efficiency`) repeats the timed
 //!   sequential pass N times (default 3) and reports the per-method
 //!   **median**, which suppresses one-off scheduler noise on shared or
@@ -58,16 +53,12 @@ pub struct ExpArgs {
     /// Baseline artifact to diff a fresh run against
     /// (`exp_fig12_efficiency --compare BENCH_fig12.json`).
     pub compare: Option<String>,
-    /// Also run the sharded warm-arena batch runner and report its
+    /// Also run the sharded batch runner and report its
     /// wall-vs-wall speedup and allocation counts (`--batch`).
     pub batch: bool,
     /// Number of timed repeats of the sequential pass; per-method timings
     /// are the **median** across repeats (`--repeats N`, default 3).
     pub repeats: usize,
-    /// Also run the warm delta-engine leg and report warm-vs-cold wall time
-    /// plus re-fused item counts (`--delta`, read by `exp_fig9_incremental`
-    /// and `exp_table9_month`).
-    pub delta: bool,
     /// With `--compare`: exit non-zero when any per-method timing regressed
     /// by more than this many percent (`--fail-on-regression PCT`).
     pub fail_on_regression: Option<f64>,
@@ -106,7 +97,6 @@ impl Default for ExpArgs {
             compare: None,
             batch: false,
             repeats: 3,
-            delta: false,
             fail_on_regression: None,
             fail_on_regression_invalid: false,
             scenario: None,
@@ -168,9 +158,6 @@ impl ExpArgs {
                 },
                 "--batch" => {
                     parsed.batch = true;
-                }
-                "--delta" => {
-                    parsed.delta = true;
                 }
                 "--repeats" => {
                     if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
@@ -310,20 +297,17 @@ mod tests {
     fn batch_and_regression_flags_parse() {
         let parsed = ExpArgs::from_args(&args_of(&[
             "--batch",
-            "--delta",
             "--fail-on-regression",
             "7.5",
             "--scale",
             "0.5",
         ]));
         assert!(parsed.batch);
-        assert!(parsed.delta);
         assert_eq!(parsed.fail_on_regression, Some(7.5));
         assert_eq!(parsed.scale, 0.5);
 
         let defaults = ExpArgs::from_args(&args_of(&[]));
         assert!(!defaults.batch);
-        assert!(!defaults.delta);
         assert_eq!(defaults.fail_on_regression, None);
         assert!(!defaults.fail_on_regression_invalid);
     }

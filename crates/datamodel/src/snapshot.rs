@@ -351,50 +351,6 @@ impl Snapshot {
         builder.build(Arc::clone(&self.schema))
     }
 
-    /// [`Self::restrict_to_sources`] with this snapshot's tolerance context
-    /// carried over unchanged instead of recomputed from the restricted data.
-    ///
-    /// Used by the delta-fusion form of the Figure-9 experiment: growing
-    /// source prefixes of one day differ from each other only on the source
-    /// axis, so pinning the full-day tolerances makes consecutive prefixes
-    /// diff cleanly (only items the new sources touch are dirty) instead of
-    /// every numeric item going stale whenever the restricted median moves.
-    pub fn restrict_to_sources_pinned(&self, sources: &[SourceId]) -> Snapshot {
-        let keep: BTreeSet<SourceId> = sources.iter().copied().collect();
-        let mut builder = SnapshotBuilder::new(self.day).with_policy(self.tolerance.policy());
-        for (item, obs) in &self.items {
-            for o in obs {
-                if keep.contains(&o.source) {
-                    builder.add(o.source, item.object, item.attr, o.value.clone());
-                }
-            }
-        }
-        builder.build_with_tolerance(Arc::clone(&self.schema), self.tolerance.clone())
-    }
-
-    /// A new snapshot containing only the data items in `keep`, with this
-    /// snapshot's tolerance context carried over unchanged.
-    ///
-    /// This is how the delta engine materializes a dirty-item sub-problem:
-    /// the sub-snapshot buckets every kept item exactly as the full snapshot
-    /// would (same tolerances, same observation order), so candidate sets
-    /// and provider rows computed on it can be spliced back into the full
-    /// problem's frame of reference.
-    pub fn restrict_to_items(&self, keep: &BTreeSet<ItemId>) -> Snapshot {
-        let items: BTreeMap<ItemId, Vec<Observation>> = self
-            .items
-            .iter()
-            .filter(|(item, _)| keep.contains(item))
-            .map(|(item, obs)| (*item, obs.clone()))
-            .collect();
-        Snapshot {
-            schema: Arc::clone(&self.schema),
-            day: self.day,
-            items,
-            tolerance: self.tolerance.clone(),
-        }
-    }
-
     /// A new snapshot with all observations from `sources` removed.
     ///
     /// Used by the copier-removal experiments of Section 3.4.
@@ -495,32 +451,6 @@ mod tests {
         assert_eq!(without_a.num_observations(), 3);
         // The original is untouched.
         assert_eq!(snap.num_observations(), 5);
-    }
-
-    #[test]
-    fn pinned_restrictions_keep_tolerance() {
-        let snap = snapshot();
-        let full_tol = snap.tolerance().tolerance(AttrId(0));
-
-        // The classic restriction recomputes the median from what's left;
-        // the pinned form must carry the full snapshot's context verbatim.
-        let pinned = snap.restrict_to_sources_pinned(&[SourceId(1)]);
-        assert_eq!(pinned.num_observations(), 2);
-        assert_eq!(
-            pinned.tolerance().tolerance(AttrId(0)).to_bits(),
-            full_tol.to_bits()
-        );
-
-        let item = ItemId::new(ObjectId(0), AttrId(0));
-        let sub = snap.restrict_to_items(&BTreeSet::from([item]));
-        assert_eq!(sub.num_items(), 1);
-        assert_eq!(sub.observations(item), snap.observations(item));
-        assert_eq!(
-            sub.tolerance().tolerance(AttrId(0)).to_bits(),
-            full_tol.to_bits()
-        );
-        // Sub-snapshot buckets exactly as the full snapshot does.
-        assert_eq!(sub.buckets(item), snap.buckets(item));
     }
 
     #[test]

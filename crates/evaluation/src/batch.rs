@@ -1,4 +1,4 @@
-//! Sharded batch evaluation across snapshots with a warm-arena fusion core.
+//! Sharded batch evaluation across snapshots with a warm fusion core.
 //!
 //! The longitudinal experiments (Figure 8's accuracy-over-time, Table 9,
 //! Figure 12's efficiency story) fuse every collection day from scratch: the
@@ -6,13 +6,13 @@
 //! `FusionProblem` CSR rebuild plus fresh `VotePlane`/trust-accumulator
 //! allocations for each task. [`BatchRunner`] instead splits the requested
 //! days into **contiguous per-worker shards** and gives each shard one
-//! [`ShardArena`] — a [`fusion::ProblemBuilder`] that re-fills its CSR
-//! vectors in place day over day plus one [`fusion::FusionScratch`] reused by
-//! all sixteen methods — so a shard fuses N days against one warm cache with
-//! near-zero steady-state allocation.
+//! [`ProblemBuilder`] that re-fills its CSR vectors in place day over day
+//! plus one [`FusionScratch`] reused by all sixteen methods, so a shard
+//! fuses N days against one warm cache with near-zero steady-state
+//! allocation.
 //!
-//! Fusion is deterministic and the arena re-shapes every buffer before its
-//! first read, so the batch rows are **bit-identical** to
+//! Fusion is deterministic and the builder and scratch re-shape every buffer
+//! before its first read, so the batch rows are **bit-identical** to
 //! [`crate::parallel::evaluate_days_sequential`] and to
 //! [`ParallelRunner::evaluate_days`](crate::parallel::ParallelRunner::evaluate_days)
 //! on the same selection;
@@ -35,93 +35,53 @@ use crate::chunk_policy::ChunkPolicy;
 use crate::parallel::DayEvaluation;
 use crate::runner::{copy_report_to_dense, evaluate_method_core, MethodEvaluation};
 use copydetect::known_copying;
-use datamodel::{Collection, CollectionDay, Snapshot};
-use fusion::{
-    all_methods, FusionMethod, FusionOptions, FusionProblem, FusionResult, FusionScratch,
-    MethodCategory, ProblemBuilder,
-};
+use datamodel::{Collection, CollectionDay};
+use fusion::{all_methods, FusionMethod, FusionScratch, MethodCategory, ProblemBuilder};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// One worker's reusable working set for fusing a run of snapshots: a
-/// [`ProblemBuilder`] whose CSR vectors are re-filled in place day over day,
-/// and one [`FusionScratch`] shared by every method run.
-///
-/// The arena has no day-to-day state besides capacity: a
-/// [`prepare`](Self::prepare) + [`run`](Self::run) on a warm arena is
-/// bit-identical to a fresh `FusionProblem::from_snapshot` + `method.run`
-/// (pinned by the arena property suite).
-#[derive(Debug, Default)]
-pub struct ShardArena {
-    builder: ProblemBuilder,
-    scratch: FusionScratch,
-}
-
-impl ShardArena {
-    /// An empty arena; buffers grow to the largest day seen and are reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Re-fill the arena's problem from `snapshot` (in place, keeping
-    /// capacity) and return it.
-    pub fn prepare(&mut self, snapshot: &Snapshot) -> &FusionProblem {
-        self.builder.prepare(snapshot)
-    }
-
-    /// The problem most recently prepared.
-    pub fn problem(&self) -> &FusionProblem {
-        self.builder.problem()
-    }
-
-    /// Run one method over the most recently prepared problem, reusing the
-    /// arena's scratch.
-    pub fn run(&mut self, method: &dyn FusionMethod, options: &FusionOptions) -> FusionResult {
-        method.run_with_scratch(self.builder.problem(), options, &mut self.scratch)
-    }
-
-    /// Evaluate `methods` on one collection day (the Table-7 row set),
-    /// re-filling the arena from the day's snapshot first. `day_index` is the
-    /// position of the day within the evaluated selection, mirroring
-    /// [`crate::parallel::evaluate_days_sequential`]. `intra_day_chunks` lets
-    /// each method run parallelize within the day (see [`fusion::chunking`];
-    /// `0` = sequential, and any value yields bit-identical rows).
-    pub fn evaluate_day(
-        &mut self,
-        day: &CollectionDay,
-        day_index: usize,
-        methods: &[(MethodCategory, Box<dyn FusionMethod>)],
-        use_known_copying: bool,
-        intra_day_chunks: usize,
-    ) -> DayEvaluation {
-        let Self { builder, scratch } = self;
-        let problem = builder.prepare(&day.snapshot);
-        let sampled = crate::metrics::sampled_trust(&day.snapshot, &day.gold, problem, 0.8);
-        let known = use_known_copying
-            .then(|| copy_report_to_dense(&known_copying(day.snapshot.schema()), problem));
-        let rows: Vec<MethodEvaluation> = methods
-            .iter()
-            .map(|(category, method)| {
-                evaluate_method_core(
-                    &day.snapshot,
-                    &day.gold,
-                    problem,
-                    &sampled,
-                    known.as_ref(),
-                    *category,
-                    method.as_ref(),
-                    scratch,
-                    intra_day_chunks,
-                )
-            })
-            .collect();
-        DayEvaluation {
-            day_index,
-            day: day.snapshot.day(),
-            rows,
-        }
+/// Evaluate `methods` on one collection day (the Table-7 row set),
+/// re-filling `builder` from the day's snapshot first and running every
+/// method on the shared `scratch`. `day_index` is the position of the day
+/// within the evaluated selection, mirroring
+/// [`crate::parallel::evaluate_days_sequential`]. `intra_day_chunks` lets
+/// each method run parallelize within the day (see [`fusion::chunking`];
+/// `0` = sequential, and any value yields bit-identical rows).
+fn evaluate_day(
+    builder: &mut ProblemBuilder,
+    scratch: &mut FusionScratch,
+    day: &CollectionDay,
+    day_index: usize,
+    methods: &[(MethodCategory, Box<dyn FusionMethod>)],
+    use_known_copying: bool,
+    intra_day_chunks: usize,
+) -> DayEvaluation {
+    let problem = builder.prepare(&day.snapshot);
+    let sampled = crate::metrics::sampled_trust(&day.snapshot, &day.gold, problem, 0.8);
+    let known = use_known_copying
+        .then(|| copy_report_to_dense(&known_copying(day.snapshot.schema()), problem));
+    let rows: Vec<MethodEvaluation> = methods
+        .iter()
+        .map(|(category, method)| {
+            evaluate_method_core(
+                &day.snapshot,
+                &day.gold,
+                problem,
+                &sampled,
+                known.as_ref(),
+                *category,
+                method.as_ref(),
+                scratch,
+                intra_day_chunks,
+            )
+        })
+        .collect();
+    DayEvaluation {
+        day_index,
+        day: day.snapshot.day(),
+        rows,
     }
 }
 
@@ -166,8 +126,8 @@ pub fn shard_plan(weights: &[usize], max_shards: usize) -> Vec<Range<usize>> {
     plan
 }
 
-/// Batch evaluation runner: contiguous day shards, one warm [`ShardArena`]
-/// per shard.
+/// Batch evaluation runner: contiguous day shards, one warm
+/// [`ProblemBuilder`] + [`FusionScratch`] per shard.
 ///
 /// Prefer this over [`ParallelRunner`] when evaluating many days (the
 /// Figure-8 / Table-9 style sweeps): each worker amortizes problem
@@ -235,7 +195,7 @@ impl BatchRunner {
     /// Evaluate the sixteen registry methods on the selected days: shard the
     /// selection contiguously ([`shard_plan`], weighted by day item counts),
     /// fan the shards across the pool, and fuse each shard's days against
-    /// its own warm [`ShardArena`]. Rows come back in request order.
+    /// its own warm builder and scratch. Rows come back in request order.
     ///
     /// # Panics
     ///
@@ -260,18 +220,20 @@ impl BatchRunner {
         // shard fan-out keeps every run sequential. Either way the rows are
         // bit-identical — the policy only moves time around.
         let policy = ChunkPolicy::from_pool();
+        let use_known = self.use_known_copying;
 
         let shard_outputs: Vec<(Vec<DayEvaluation>, Duration)> = plan
             .into_par_iter()
             .map(|range| {
                 let shard_start = Instant::now();
-                let mut arena = ShardArena::new();
+                let mut builder = ProblemBuilder::new();
+                let mut scratch = FusionScratch::new();
                 let days: Vec<DayEvaluation> = range
                     .map(|k| {
                         let day = collection.day(day_indices[k]);
                         let chunks = policy
                             .intra_day_chunks(num_shards, day.snapshot.num_items());
-                        arena.evaluate_day(day, k, &methods, self.use_known_copying, chunks)
+                        evaluate_day(&mut builder, &mut scratch, day, k, &methods, use_known, chunks)
                     })
                     .collect();
                 (days, shard_start.elapsed())
@@ -301,6 +263,7 @@ mod tests {
     use super::*;
     use crate::parallel::{evaluate_days_sequential, same_results};
     use datagen::{generate, stock_config};
+    use fusion::{FusionOptions, FusionProblem};
 
     #[test]
     fn shard_plan_is_deterministic_and_contiguous() {
@@ -383,18 +346,20 @@ mod tests {
     #[test]
     fn arena_run_matches_cold_run() {
         let domain = generate(&stock_config(38).scaled(0.01, 0.1));
-        let mut arena = ShardArena::new();
-        // Warm the arena on a later day, then fuse the reference day: the
+        let mut builder = ProblemBuilder::new();
+        let mut scratch = FusionScratch::new();
+        // Warm the builder on a later day, then fuse the reference day: the
         // warm run must equal a cold run on a fresh problem.
         let last = domain.collection.day(domain.collection.num_days() - 1);
-        arena.prepare(&last.snapshot);
+        builder.prepare(&last.snapshot);
         let reference = domain.collection.reference_day();
-        arena.prepare(&reference.snapshot);
-        let cold_problem = fusion::FusionProblem::from_snapshot(&reference.snapshot);
-        assert_eq!(*arena.problem(), cold_problem);
+        let problem = builder.prepare(&reference.snapshot);
+        let cold_problem = FusionProblem::from_snapshot(&reference.snapshot);
+        assert_eq!(*problem, cold_problem);
+        let options = FusionOptions::standard();
         for (_, method) in all_methods() {
-            let warm = arena.run(method.as_ref(), &FusionOptions::standard());
-            let cold = method.run(&cold_problem, &FusionOptions::standard());
+            let warm = method.run_with_scratch(problem, &options, &mut scratch);
+            let cold = method.run(&cold_problem, &options);
             assert_eq!(warm.selection, cold.selection, "{} selection", warm.method);
             assert_eq!(
                 warm.trust.overall, cold.trust.overall,

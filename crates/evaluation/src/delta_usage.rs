@@ -1,16 +1,14 @@
-//! Shared accounting for the delta-engine evaluation runners.
+//! Aggregated [`fusion::DeltaEngine`] activity over a sequence of snapshots.
 //!
-//! Both temporal runners ([`crate::over_time::evaluate_over_time_delta`] and
-//! [`crate::incremental::incremental_recall_delta`]) drive one
-//! [`fusion::DeltaEngine`] across a sequence of snapshots; this module
-//! aggregates the engine's per-step reports into the summary the `--delta`
-//! bench legs print (re-fused item counts, fall-back and cache-hit counts,
-//! mean dirty fraction, preparation wall time).
+//! The online service folds every seal's engine reports into its cumulative
+//! statistics with this, and the Figure-12 delta sweep reports it per dirty
+//! fraction: fall-back and cache-hit counts, mean dirty fraction, and
+//! preparation wall time.
 
 use fusion::delta::{AdvanceReport, RunReport};
 use std::time::Duration;
 
-/// Aggregated delta-engine activity over one runner invocation.
+/// Aggregated delta-engine activity over a sequence of snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaUsage {
     /// Snapshots advanced through (including the cold first one).
@@ -21,10 +19,6 @@ pub struct DeltaUsage {
     pub identical_days: usize,
     /// Run calls answered from the per-method cache without fusing.
     pub cache_hits: usize,
-    /// Items actually re-fused, summed over every run call.
-    pub fused_items: usize,
-    /// Total item slots offered, summed over every run call.
-    pub total_items: usize,
     /// Sum of per-advance dirty fractions over the non-first advances.
     pub dirty_fraction_sum: f64,
     /// Number of non-first advances folded into `dirty_fraction_sum`.
@@ -55,8 +49,6 @@ impl DeltaUsage {
         if report.cache_hit {
             self.cache_hits += 1;
         }
-        self.fused_items += report.fused_items;
-        self.total_items += report.total_items;
     }
 
     /// Fold another summary into this one (component-wise sums). The online
@@ -67,8 +59,6 @@ impl DeltaUsage {
         self.full_refreshes += other.full_refreshes;
         self.identical_days += other.identical_days;
         self.cache_hits += other.cache_hits;
-        self.fused_items += other.fused_items;
-        self.total_items += other.total_items;
         self.dirty_fraction_sum += other.dirty_fraction_sum;
         self.dirty_steps += other.dirty_steps;
         self.prepare += other.prepare;
@@ -82,21 +72,11 @@ impl DeltaUsage {
             self.dirty_fraction_sum / self.dirty_steps as f64
         }
     }
-
-    /// Fraction of offered item slots that were actually re-fused.
-    pub fn fused_fraction(&self) -> f64 {
-        if self.total_items == 0 {
-            0.0
-        } else {
-            self.fused_items as f64 / self.total_items as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion::delta::DeltaMode;
 
     #[test]
     fn usage_accumulates_reports() {
@@ -128,28 +108,17 @@ mod tests {
             prepare: Duration::from_millis(1),
         });
         usage.record_run(&RunReport {
-            mode: DeltaMode::Bounded,
             cache_hit: false,
-            full_run: false,
-            fused_items: 2,
-            total_items: 10,
-            frontier_sources: 1,
             elapsed: Duration::from_millis(1),
         });
         usage.record_run(&RunReport {
-            mode: DeltaMode::Bounded,
             cache_hit: true,
-            full_run: false,
-            fused_items: 0,
-            total_items: 10,
-            frontier_sources: 0,
             elapsed: Duration::ZERO,
         });
         assert_eq!(usage.advances, 2);
         assert_eq!(usage.full_refreshes, 1);
         assert_eq!(usage.cache_hits, 1);
         assert!((usage.mean_dirty_fraction() - 0.1).abs() < 1e-12);
-        assert!((usage.fused_fraction() - 0.1).abs() < 1e-12);
         assert_eq!(usage.prepare, Duration::from_millis(3));
 
         // Merging a summary into an empty one reproduces it; merging it into
@@ -160,7 +129,7 @@ mod tests {
         assert_eq!(merged.prepare, usage.prepare);
         merged.merge(&usage);
         assert_eq!(merged.advances, 2 * usage.advances);
-        assert_eq!(merged.fused_items, 2 * usage.fused_items);
+        assert_eq!(merged.cache_hits, 2 * usage.cache_hits);
         assert_eq!(merged.dirty_steps, 2 * usage.dirty_steps);
         assert!((merged.mean_dirty_fraction() - usage.mean_dirty_fraction()).abs() < 1e-12);
     }

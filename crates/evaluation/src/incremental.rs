@@ -6,13 +6,17 @@
 //! high-recall sources reaches the best recall (the peak is at the 5th source
 //! for Stock and the 9th for Flight); adding the remaining sources only
 //! hurts.
+//!
+//! Each prefix is restricted with [`Snapshot::restrict_to_sources`], which
+//! recomputes tolerances from the prefix's own data, and prepared cold into
+//! one reused [`ProblemBuilder`]. Prefixes are not diffed through a
+//! [`fusion::DeltaEngine`]: adding a high-coverage source dirties most
+//! items, so nearly every prefix would fall back to a full re-preparation.
 
-use crate::batch::ShardArena;
-use crate::delta_usage::DeltaUsage;
 use crate::metrics::precision_recall;
 use crate::runner::EvaluationContext;
 use datamodel::{GoldStandard, Snapshot, SourceId};
-use fusion::{method_by_name, DeltaEngine, DeltaPolicy, FusionOptions};
+use fusion::{method_by_name, FusionOptions, FusionScratch, ProblemBuilder};
 use serde::Serialize;
 
 /// Recall after adding the first `num_sources` sources.
@@ -78,11 +82,12 @@ pub fn sources_by_recall(snapshot: &Snapshot, gold: &GoldStandard) -> Vec<Source
 /// per-source curve; larger steps keep the experiment fast on full-scale
 /// data).
 ///
-/// The prefix problems ride on one warm [`ShardArena`]: each source prefix
-/// re-fills the arena's problem in place and every method runs against it
-/// with the arena's reused scratch, so the experiment no longer holds all
-/// prefix problems in memory at once (nor re-allocates per prefix). Unknown
-/// method names are skipped, as before.
+/// The prefix problems ride on one warm [`ProblemBuilder`]: each source
+/// prefix re-fills the builder's problem in place and every method runs
+/// against it with one reused [`FusionScratch`], so the experiment never
+/// holds all prefix problems in memory at once (nor re-allocates per
+/// prefix). The series are bit-identical to preparing every prefix with
+/// `FusionProblem::from_snapshot`. Unknown method names are skipped.
 pub fn incremental_recall(
     context: &EvaluationContext<'_>,
     methods: &[&str],
@@ -102,13 +107,15 @@ pub fn incremental_recall(
         })
         .collect();
 
-    let mut arena = ShardArena::new();
+    let options = FusionOptions::standard();
+    let mut builder = ProblemBuilder::new();
+    let mut scratch = FusionScratch::new();
     let mut k = 1;
     while k <= order.len() {
         let restricted = context.snapshot.restrict_to_sources(&order[..k]);
-        arena.prepare(&restricted);
+        let problem = builder.prepare(&restricted);
         for (method, series) in resolved.iter().zip(series.iter_mut()) {
-            let result = arena.run(method.as_ref(), &FusionOptions::standard());
+            let result = method.run_with_scratch(problem, &options, &mut scratch);
             let pr = precision_recall(context.snapshot, context.gold, &result);
             series.points.push(IncrementalPoint {
                 num_sources: k,
@@ -121,65 +128,6 @@ pub fn incremental_recall(
         k = (k + step).min(order.len());
     }
     series
-}
-
-/// Run the Figure-9 experiment prefix-over-prefix on one warm
-/// [`DeltaEngine`].
-///
-/// Each prefix snapshot is built with
-/// [`Snapshot::restrict_to_sources_pinned`], which carries the full
-/// snapshot's tolerance context verbatim: growing the prefix then only adds
-/// sources, so consecutive prefixes differ by a pure source-axis delta and
-/// the engine splices the untouched item rows instead of re-bucketing the
-/// whole prefix. (The classic [`incremental_recall`] recomputes each prefix's
-/// tolerance from the restricted data, so the two runners can disagree on
-/// tolerance-sensitive items; within this runner,
-/// [`fusion::DeltaMode::Exact`] is still bit-identical to cold-preparing the
-/// same pinned prefixes, as pinned by the tests.)
-///
-/// Also returns the aggregated [`DeltaUsage`] for the
-/// `exp_fig9_incremental --delta` leg.
-pub fn incremental_recall_delta(
-    context: &EvaluationContext<'_>,
-    methods: &[&str],
-    step: usize,
-    policy: DeltaPolicy,
-) -> (Vec<IncrementalSeries>, DeltaUsage) {
-    let order = sources_by_recall(context.snapshot, context.gold);
-    let step = step.max(1);
-    let resolved: Vec<_> = methods
-        .iter()
-        .filter_map(|name| method_by_name(name))
-        .collect();
-    let mut series: Vec<IncrementalSeries> = resolved
-        .iter()
-        .map(|method| IncrementalSeries {
-            method: method.name(),
-            points: Vec::new(),
-        })
-        .collect();
-
-    let mut engine = DeltaEngine::with_policy(policy);
-    let mut usage = DeltaUsage::default();
-    let mut k = 1;
-    while k <= order.len() {
-        let restricted = context.snapshot.restrict_to_sources_pinned(&order[..k]);
-        usage.record_advance(&engine.advance(&restricted));
-        for (method, series) in resolved.iter().zip(series.iter_mut()) {
-            let (result, report) = engine.run(method.as_ref(), &FusionOptions::standard());
-            usage.record_run(&report);
-            let pr = precision_recall(context.snapshot, context.gold, &result);
-            series.points.push(IncrementalPoint {
-                num_sources: k,
-                recall: pr.recall,
-            });
-        }
-        if k == order.len() {
-            break;
-        }
-        k = (k + step).min(order.len());
-    }
-    (series, usage)
 }
 
 #[cfg(test)]
@@ -232,26 +180,24 @@ mod tests {
     }
 
     #[test]
-    fn delta_prefixes_match_cold_pinned_prefixes_bit_for_bit() {
+    fn series_match_a_cold_per_prefix_loop() {
         let domain = generate(&stock_config(44).scaled(0.012, 0.1));
         let day = domain.collection.reference_day();
         let context = EvaluationContext::new(&day.snapshot, &day.gold);
         let methods = ["Vote", "Cosine", "AccuPr"];
-        let (warm, usage) =
-            incremental_recall_delta(&context, &methods, 3, fusion::DeltaPolicy::exact());
-        assert_eq!(warm.len(), methods.len());
+        let series = incremental_recall(&context, &methods, 3);
+        assert_eq!(series.len(), methods.len());
 
-        // Cold baseline: the same pinned prefixes, each prepared from scratch.
+        // Cold reference: every prefix prepared from scratch.
         let order = sources_by_recall(&day.snapshot, &day.gold);
-        let mut arena = ShardArena::new();
         let mut k = 1;
         let mut point = 0usize;
         while k <= order.len() {
-            let restricted = day.snapshot.restrict_to_sources_pinned(&order[..k]);
-            arena.prepare(&restricted);
-            for (name, series) in methods.iter().zip(&warm) {
+            let restricted = day.snapshot.restrict_to_sources(&order[..k]);
+            let problem = fusion::FusionProblem::from_snapshot(&restricted);
+            for (name, series) in methods.iter().zip(&series) {
                 let method = method_by_name(name).unwrap();
-                let result = arena.run(method.as_ref(), &FusionOptions::standard());
+                let result = method.run(&problem, &FusionOptions::standard());
                 let pr = precision_recall(&day.snapshot, &day.gold, &result);
                 let got = series.points[point];
                 assert_eq!(got.num_sources, k);
@@ -263,11 +209,9 @@ mod tests {
             }
             k = (k + 3).min(order.len());
         }
-        for series in &warm {
+        for series in &series {
             assert_eq!(series.points.len(), point);
         }
-        assert_eq!(usage.advances, point);
-        assert!(usage.full_refreshes >= 1);
     }
 
     #[test]

@@ -7,23 +7,24 @@
 //! * [`compare`] — pairwise method comparison: errors fixed / introduced
 //!   (Table 8);
 //! * [`incremental`] — recall as sources are added in recall order
-//!   (Figure 9), cold per prefix or prefix-over-prefix on one warm
-//!   [`fusion::DeltaEngine`];
-//! * [`delta_usage`] — aggregated delta-engine activity (re-fused item
-//!   counts, fall-backs, cache hits) reported by the `--delta` bench legs;
+//!   (Figure 9), each prefix prepared cold into one reused problem builder;
+//! * [`delta_usage`] — aggregated [`fusion::DeltaEngine`] activity
+//!   (fall-backs, cache hits, dirty fractions) for the online service and
+//!   Figure 12's delta sweep;
 //! * [`parallel`] — the multi-core runner fanning all sixteen methods ×
 //!   any number of snapshot days across CPU cores (Figure 12's efficiency
 //!   story at to-day's core counts);
 //! * [`batch`] — the sharded batch runner: contiguous day shards, one warm
-//!   [`ShardArena`] (in-place CSR refills + reused fusion scratch) per
-//!   shard, rows bit-identical to the sequential runner;
+//!   [`fusion::ProblemBuilder`] (in-place CSR refills) and
+//!   [`fusion::FusionScratch`] per shard, rows bit-identical to the
+//!   sequential runner;
 //! * [`chunk_policy`] — picks between across-task fan-out and intra-day
 //!   [`fusion::chunking`] from the task stats (few big days chunk within
 //!   the day, many small days fan across days);
 //! * [`breakdown`] — precision vs. dominance factor (Figure 10);
 //! * [`errors`] — error analysis of a method's mistakes (Figure 11);
-//! * [`over_time`] — precision over all collection days (Table 9), sharded
-//!   cold or day-over-day on one warm delta engine;
+//! * [`over_time`] — precision over all collection days (Table 9) on the
+//!   sharded batch core;
 //! * [`scenario`] — golden-metrics rows for the adversarial stress
 //!   scenarios (per-method precision + copy-detection hit rates).
 
@@ -40,19 +41,17 @@ pub mod parallel;
 pub mod runner;
 pub mod scenario;
 
-pub use batch::{shard_plan, BatchEvaluation, BatchRunner, ShardArena};
+pub use batch::{shard_plan, BatchEvaluation, BatchRunner};
 pub use breakdown::{precision_by_dominance, DominancePrecisionPoint};
 pub use chunk_policy::ChunkPolicy;
 pub use compare::{compare_methods, MethodComparison, PAPER_METHOD_PAIRS};
 pub use delta_usage::DeltaUsage;
 pub use errors::{analyze_errors, ErrorAnalysis, ErrorCause};
-pub use incremental::{
-    incremental_recall, incremental_recall_delta, IncrementalPoint, IncrementalSeries,
-};
+pub use incremental::{incremental_recall, IncrementalPoint, IncrementalSeries};
 pub use metrics::{
     precision_recall, sampled_trust, trust_deviation_and_difference, PrecisionRecall,
 };
-pub use over_time::{evaluate_over_time, evaluate_over_time_delta, MethodOverTime};
+pub use over_time::{evaluate_over_time, MethodOverTime};
 pub use parallel::{
     evaluate_days_sequential, evaluate_prepared_sequential, prepare_contexts, same_results,
     DayEvaluation, ParallelEvaluation, ParallelRunner,

@@ -1,18 +1,23 @@
 //! Precision over the full collection period (Table 9): average, minimum,
 //! and standard deviation of every method's daily precision.
 //!
-//! The per-day runs ride on the sharded warm-arena core: the days are cut
-//! into contiguous shards ([`shard_plan`]), each shard fuses its day range
-//! against one [`ShardArena`] (in-place problem refills, reused method
-//! scratch), and the per-day precision vectors are concatenated in day
-//! order — the same numbers the old one-context-per-day loop produced,
-//! without its per-day allocations.
+//! The per-day runs ride on the sharded batch core: the days are cut into
+//! contiguous shards ([`shard_plan`]), each shard fuses its day range
+//! against one [`ProblemBuilder`] (in-place problem refills) and one
+//! [`FusionScratch`] (reused method scratch), and the per-day precision
+//! vectors are concatenated in day order — the same numbers a cold
+//! one-problem-per-day loop produces, without its per-day allocations.
+//!
+//! Only the standard (without-trust) runs enter Table 9, so the oracle copy
+//! groups are never read. The days are prepared cold rather than through a
+//! day-over-day [`fusion::DeltaEngine`]: generated days drift enough that
+//! nearly every day would fall back to a full re-preparation, and a warm
+//! engine serializes the days that this runner shards across workers.
 
-use crate::batch::{shard_plan, ShardArena};
-use crate::delta_usage::DeltaUsage;
+use crate::batch::shard_plan;
 use crate::metrics::precision_recall;
 use datamodel::Collection;
-use fusion::{all_methods, DeltaEngine, DeltaPolicy, FusionOptions};
+use fusion::{all_methods, FusionOptions, FusionScratch, ProblemBuilder};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -33,32 +38,32 @@ pub struct MethodOverTime {
     pub deviation: f64,
 }
 
-/// Run every method on every day of a collection and summarize.
-/// `use_known_copying` is accepted for API stability; Table 9 only uses the
-/// standard (without-trust) runs, which never read the oracle copy groups —
-/// the rows are identical either way, exactly as before the sharded rewrite.
-pub fn evaluate_over_time(collection: &Collection, use_known_copying: bool) -> Vec<MethodOverTime> {
-    let _ = use_known_copying;
+/// Run every method on every day of a collection and summarize. The rows
+/// are bit-identical to a per-day `FusionProblem::from_snapshot` +
+/// `method.run` loop at any thread count.
+pub fn evaluate_over_time(collection: &Collection) -> Vec<MethodOverTime> {
     let mut rows = method_rows();
 
-    // Contiguous day shards, one warm arena per shard; each inner vector is
-    // one day's per-method precisions, concatenated back in day order.
+    // Contiguous day shards, one warm builder + scratch per shard; each inner
+    // vector is one day's per-method precisions, concatenated back in day
+    // order.
     let weights: Vec<usize> = collection.days().map(|d| d.snapshot.num_items()).collect();
     let plan = shard_plan(&weights, rayon::current_num_threads());
+    let options = FusionOptions::standard();
     let per_shard: Vec<Vec<Vec<f64>>> = plan
         .into_par_iter()
         .map(|range| {
             let methods = all_methods();
-            let mut arena = ShardArena::new();
+            let mut builder = ProblemBuilder::new();
+            let mut scratch = FusionScratch::new();
             range
                 .map(|i| {
                     let day = collection.day(i);
-                    arena.prepare(&day.snapshot);
+                    let problem = builder.prepare(&day.snapshot);
                     methods
                         .iter()
                         .map(|(_, method)| {
-                            let result =
-                                arena.run(method.as_ref(), &FusionOptions::standard());
+                            let result = method.run_with_scratch(problem, &options, &mut scratch);
                             precision_recall(&day.snapshot, &day.gold, &result).precision
                         })
                         .collect()
@@ -74,50 +79,6 @@ pub fn evaluate_over_time(collection: &Collection, use_known_copying: bool) -> V
 
     summarize(&mut rows);
     rows
-}
-
-/// Run every method on every day of a collection through one warm
-/// [`DeltaEngine`] (day-over-day delta'd preparation instead of per-day cold
-/// refills) and summarize.
-///
-/// In [`fusion::DeltaMode::Exact`] the returned rows are bit-identical to
-/// [`evaluate_over_time`]: each day's problem is spliced from the previous
-/// day's CSR state (or fully refreshed when the dirty fraction exceeds the
-/// policy threshold) and every method re-runs deterministically over it. The
-/// days are inherently sequential — the warm state carries forward — so this
-/// composes with intra-day chunking rather than across-day sharding: pass
-/// `intra_day_chunks > 0` to split each day's candidate axis across workers
-/// (bit-invisible, as pinned by the chunk-equivalence suites).
-///
-/// Also returns the aggregated [`DeltaUsage`] (dirty fractions, full-refresh
-/// and cache-hit counts, re-fused item totals, preparation wall time) for the
-/// `exp_table9_month --delta` leg.
-pub fn evaluate_over_time_delta(
-    collection: &Collection,
-    policy: DeltaPolicy,
-    intra_day_chunks: usize,
-) -> (Vec<MethodOverTime>, DeltaUsage) {
-    let mut rows = method_rows();
-    let methods = all_methods();
-    let mut options = FusionOptions::standard();
-    if intra_day_chunks > 0 {
-        options = options.with_intra_day_chunks(intra_day_chunks);
-    }
-
-    let mut engine = DeltaEngine::with_policy(policy);
-    let mut usage = DeltaUsage::default();
-    for day in collection.days() {
-        usage.record_advance(&engine.advance(&day.snapshot));
-        for ((_, method), row) in methods.iter().zip(rows.iter_mut()) {
-            let (result, report) = engine.run(method.as_ref(), &options);
-            usage.record_run(&report);
-            row.daily_precision
-                .push(precision_recall(&day.snapshot, &day.gold, &result).precision);
-        }
-    }
-
-    summarize(&mut rows);
-    (rows, usage)
 }
 
 fn method_rows() -> Vec<MethodOverTime> {
@@ -154,11 +115,12 @@ fn summarize(rows: &mut [MethodOverTime]) {
 mod tests {
     use super::*;
     use datagen::{generate, stock_config};
+    use fusion::FusionProblem;
 
     #[test]
     fn over_time_rows_cover_every_method_and_day() {
         let domain = generate(&stock_config(71).scaled(0.01, 0.15));
-        let rows = evaluate_over_time(&domain.collection, false);
+        let rows = evaluate_over_time(&domain.collection);
         assert_eq!(rows.len(), 16);
         for row in &rows {
             assert_eq!(row.daily_precision.len(), domain.collection.num_days());
@@ -169,28 +131,39 @@ mod tests {
     }
 
     #[test]
-    fn delta_exact_rows_match_the_cold_runner_bit_for_bit() {
+    fn rows_match_a_cold_per_day_loop_at_one_and_two_threads() {
         let domain = generate(&stock_config(72).scaled(0.008, 0.12));
-        let cold = evaluate_over_time(&domain.collection, false);
-        let (warm, usage) =
-            evaluate_over_time_delta(&domain.collection, fusion::DeltaPolicy::exact(), 0);
-        assert_eq!(warm.len(), cold.len());
-        for (w, c) in warm.iter().zip(&cold) {
-            assert_eq!(w.method, c.method);
-            assert_eq!(w.daily_precision, c.daily_precision, "method {}", w.method);
-            assert_eq!(w.average.to_bits(), c.average.to_bits());
-            assert_eq!(w.minimum.to_bits(), c.minimum.to_bits());
-            assert_eq!(w.deviation.to_bits(), c.deviation.to_bits());
+        let collection = &domain.collection;
+        let options = FusionOptions::standard();
+        let methods = all_methods();
+        let mut cold: Vec<Vec<f64>> = vec![Vec::new(); methods.len()];
+        for day in collection.days() {
+            let problem = FusionProblem::from_snapshot(&day.snapshot);
+            for ((_, method), column) in methods.iter().zip(cold.iter_mut()) {
+                let result = method.run(&problem, &options);
+                column.push(precision_recall(&day.snapshot, &day.gold, &result).precision);
+            }
         }
-        assert_eq!(usage.advances, domain.collection.num_days());
-        assert!(usage.full_refreshes >= 1, "first day is always a full prepare");
-        assert!(usage.total_items > 0);
 
-        // Chunked intra-day execution composes without changing the rows.
-        let (chunked, _) =
-            evaluate_over_time_delta(&domain.collection, fusion::DeltaPolicy::exact(), 2);
-        for (w, c) in chunked.iter().zip(&cold) {
-            assert_eq!(w.daily_precision, c.daily_precision, "method {}", w.method);
+        // The rayon stand-in sizes its pool from the environment per call.
+        let saved = std::env::var("RAYON_NUM_THREADS").ok();
+        for threads in [1usize, 2] {
+            std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+            let rows = evaluate_over_time(collection);
+            assert_eq!(rows.len(), cold.len());
+            for (row, column) in rows.iter().zip(&cold) {
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&row.daily_precision),
+                    bits(column),
+                    "{} at {threads} threads",
+                    row.method
+                );
+            }
+        }
+        match saved {
+            Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
         }
     }
 }

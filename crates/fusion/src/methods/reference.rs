@@ -542,21 +542,19 @@ mod tests {
     }
 
     /// Assert that method `k`'s current and frozen runs agree bit for bit
-    /// (selection, rounds, trust bits, selected values); returns the
-    /// current run.
+    /// (selection, rounds, trust bits, selected values).
     fn assert_bit_identical(
         k: usize,
         problem: &FusionProblem,
         opts: &FusionOptions,
         scratch: &mut FusionScratch,
         context: &str,
-    ) -> FusionResult {
+    ) {
         let (new, old) = run_both(k, problem, opts, scratch);
         let label = format!(
-            "{} on {context}, input trust {}, warm {}",
+            "{} on {context}, input trust {}",
             new.method,
-            opts.input_trust.is_some(),
-            opts.warm_start_trust.is_some()
+            opts.input_trust.is_some()
         );
         let bits = |trust: &[f64]| trust.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
         assert_eq!(new.selection, old.selection, "{label}: selection");
@@ -567,7 +565,6 @@ mod tests {
             "{label}: trust bits"
         );
         assert_eq!(new.selected, old.selected, "{label}: selected values");
-        new
     }
 
     #[test]
@@ -588,16 +585,9 @@ mod tests {
                         let context =
                             format!("{} day {day}, {chunks} chunks", domain.config.domain);
                         let plain = FusionOptions::standard().with_intra_day_chunks(chunks);
-                        let cold =
-                            assert_bit_identical(k, &problem, &plain, &mut scratch, &context);
-                        let with_input = plain.clone().with_input_trust(input.clone());
+                        assert_bit_identical(k, &problem, &plain, &mut scratch, &context);
+                        let with_input = plain.with_input_trust(input.clone());
                         assert_bit_identical(k, &problem, &with_input, &mut scratch, &context);
-                        // A warm seed as the delta engine hands it over: the
-                        // previous trust, with a slot it has no value for.
-                        let mut warm = cold.trust.overall;
-                        warm[0] = f64::NAN;
-                        let with_warm = plain.with_warm_start_trust(warm);
-                        assert_bit_identical(k, &problem, &with_warm, &mut scratch, &context);
                     }
                 }
             }

@@ -10,7 +10,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// `source` claims `value` for the data item `(object, attr)`,
-    /// replacing any previous claim by the same source.
+    /// replacing any previous claim by the same source. A number whose value
+    /// or granularity is NaN or infinite is rejected.
     UpsertClaim {
         /// The claiming source.
         source: SourceId,

@@ -3,10 +3,10 @@
 
 use crate::ops::{OpKind, Operation};
 use crate::state::{ServedState, ServiceReader, ServiceStats};
-use datamodel::{DomainSchema, ItemId, SnapshotBuilder, SourceId, ToleranceContext};
+use datamodel::{DomainSchema, ItemId, SnapshotBuilder, SourceId, ToleranceContext, Value};
 use evaluation::DeltaUsage;
 use fusion::delta::AdvanceReport;
-use fusion::{method_by_name, DeltaEngine, DeltaPolicy, FusionMethod, FusionOptions};
+use fusion::{method_by_name, DeltaEngine, FusionMethod, FusionOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -19,14 +19,6 @@ pub struct ServiceConfig {
     pub methods: Vec<String>,
     /// Fusion options every method runs under.
     pub options: FusionOptions,
-    /// The wrapped engine's delta policy (default: exact mode, so served
-    /// results are bit-identical to a cold batch run of the sealed day).
-    pub policy: DeltaPolicy,
-    /// Pin the tolerance context of every seal after the first to the first
-    /// sealed day's (default: true). This is what keeps day-over-day deltas
-    /// small — a lone value edit dirties only its own item instead of,
-    /// through a moved attribute median, every item of the attribute.
-    pub pin_tolerance: bool,
 }
 
 impl Default for ServiceConfig {
@@ -37,8 +29,6 @@ impl Default for ServiceConfig {
                 .map(|(_, m)| m.name())
                 .collect(),
             options: FusionOptions::standard(),
-            policy: DeltaPolicy::exact(),
-            pin_tolerance: true,
         }
     }
 }
@@ -134,7 +124,7 @@ pub struct FusionService {
 
 impl FusionService {
     /// A service over `schema` with the default configuration (all sixteen
-    /// methods, exact delta mode, pinned tolerances).
+    /// methods, standard options).
     pub fn new(schema: Arc<DomainSchema>) -> Self {
         Self::with_config(schema, ServiceConfig::default())
     }
@@ -153,12 +143,11 @@ impl FusionService {
                     .unwrap_or_else(|| panic!("unknown fusion method {name:?} in ServiceConfig"))
             })
             .collect();
-        let engine = DeltaEngine::with_policy(config.policy.clone());
         Self {
             schema,
             config,
             methods,
-            engine,
+            engine: DeltaEngine::new(),
             ledger: SnapshotBuilder::new(0),
             claim_seq: HashMap::new(),
             source_seq: HashMap::new(),
@@ -245,6 +234,14 @@ impl FusionService {
                         attr.index(),
                         self.schema.num_attributes()
                     ));
+                }
+                if let Value::Number { value, granularity } = &value {
+                    if !value.is_finite() || !granularity.0.is_finite() {
+                        return ApplyOutcome::Rejected(format!(
+                            "non-finite number {value} (granularity {})",
+                            granularity.0
+                        ));
+                    }
                 }
                 match self.claim_gate(source, object, attr, op.seq) {
                     Ok(()) => {
@@ -334,13 +331,18 @@ impl FusionService {
 
     /// Materialize the ledger for `day`, advance the engine, fuse every
     /// configured method, and publish the new [`ServedState`].
+    ///
+    /// Every seal after the first reuses the first sealed day's tolerance
+    /// context. This is what keeps day-over-day deltas small: a lone value
+    /// edit dirties only its own item instead of, through a moved attribute
+    /// median, every item of the attribute.
     fn seal(&mut self, day: u32) -> SealReport {
         let started = Instant::now();
         self.ledger.set_day(day);
         let snapshot = self
             .ledger
             .materialize(Arc::clone(&self.schema), self.pinned.as_ref(), &self.offline);
-        if self.config.pin_tolerance && self.pinned.is_none() {
+        if self.pinned.is_none() {
             self.pinned = Some(snapshot.tolerance().clone());
         }
 
@@ -390,7 +392,7 @@ impl FusionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{AttrId, AttrKind, ObjectId, Value};
+    use datamodel::{AttrId, AttrKind, ObjectId};
 
     fn schema() -> Arc<DomainSchema> {
         let mut s = DomainSchema::new("test");
@@ -454,6 +456,35 @@ mod tests {
         assert!(matches!(svc.apply(bad), ApplyOutcome::Rejected(_)));
         assert_eq!(svc.stats().ops_rejected, 1);
         assert_eq!(svc.ledger_observations(), 0);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_and_never_served() {
+        let mut svc = vote_service();
+        svc.apply(upsert(0, 0, 0, 100.0));
+        assert!(matches!(svc.apply(upsert(1, 1, 0, f64::NAN)), ApplyOutcome::Rejected(_)));
+        assert!(matches!(
+            svc.apply(upsert(2, 2, 1, f64::INFINITY)),
+            ApplyOutcome::Rejected(_)
+        ));
+        let coarse = Value::Number {
+            value: 5.0,
+            granularity: datamodel::Granularity(f64::NEG_INFINITY),
+        };
+        let bad_granularity = Operation::upsert(3, SourceId(3), ObjectId(0), AttrId(0), coarse);
+        assert!(matches!(svc.apply(bad_granularity), ApplyOutcome::Rejected(_)));
+        assert_eq!(svc.stats().ops_rejected, 3);
+        assert_eq!(svc.ledger_observations(), 1);
+
+        svc.apply(Operation::seal(10, 0));
+        let state = svc.reader().state();
+        assert_eq!(state.items(), [ItemId::new(ObjectId(0), AttrId(0))]);
+        let answer = state
+            .answer("Vote", ItemId::new(ObjectId(0), AttrId(0)))
+            .expect("finite claim is served");
+        assert_eq!(answer.value, Value::number(100.0));
+        assert_eq!(answer.sources.len(), 1);
+        assert!(state.answer("Vote", ItemId::new(ObjectId(1), AttrId(0))).is_none());
     }
 
     #[test]
