@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{flight_config, generate, stock_config};
-use evaluation::{evaluate_all_methods, same_results, EvaluationContext, ParallelRunner};
+use evaluation::{evaluate_days, evaluate_prepared_sequential, prepare_contexts, same_results};
 use fusion::{all_methods, FusionOptions, FusionProblem};
 
 fn bench_methods(c: &mut Criterion) {
@@ -35,31 +35,30 @@ fn bench_preparation(c: &mut Criterion) {
     });
 }
 
-/// Guard: the parallel runner must produce the same rows as the sequential
-/// runner on the same seeded snapshot — and this bench shows what the
-/// fan-out buys in wall-clock. Both runners evaluate all sixteen methods
-/// with and without sampled trust.
+/// Guard: the (day, method) fan-out must produce the same rows as the
+/// sequential reference on the same seeded snapshot — and this bench shows
+/// what the fan-out buys in wall-clock on a one-day selection. Both passes
+/// prepare the day and evaluate all sixteen methods with and without
+/// sampled trust.
 fn bench_runners(c: &mut Criterion) {
     let stock = generate(&stock_config(2012).scaled(0.03, 0.1));
-    let day = stock.collection.reference_day();
-    let context = EvaluationContext::new(&day.snapshot, &day.gold);
+    let reference = [stock.collection.reference_day_index()];
+    let sequential_pass =
+        || evaluate_prepared_sequential(&prepare_contexts(&stock.collection, &reference, false));
 
     // Correctness guard first: a timing comparison of two runners is only
     // meaningful if they compute the same thing.
-    let sequential = evaluate_all_methods(&context);
-    let parallel = ParallelRunner::new().evaluate_all_methods(&context);
+    let sequential = sequential_pass();
+    let parallel = evaluate_days(&stock.collection, &reference, false);
     assert!(
-        same_results(&sequential, &parallel),
-        "parallel runner diverged from sequential runner on the guard snapshot"
+        same_results(&sequential[0].rows, &parallel.days[0].rows),
+        "fan-out diverged from the sequential reference on the guard snapshot"
     );
 
     let mut group = c.benchmark_group("evaluation_runner");
-    group.bench_function("sequential_16_methods", |b| {
-        b.iter(|| evaluate_all_methods(&context))
-    });
+    group.bench_function("sequential_16_methods", |b| b.iter(sequential_pass));
     group.bench_function("parallel_16_methods", |b| {
-        let runner = ParallelRunner::new();
-        b.iter(|| runner.evaluate_all_methods(&context))
+        b.iter(|| evaluate_days(&stock.collection, &reference, false))
     });
     group.finish();
 }

@@ -6,8 +6,9 @@
 //! guaranteeing better results.
 //!
 //! The binary runs the same (method × day) batch twice: once on the timed
-//! sequential baseline ([`evaluate_days_sequential`]) and once fanned across
-//! CPU cores on the [`ParallelRunner`]. The Figure-12 table is printed from
+//! sequential baseline ([`evaluate_prepared_sequential`] over
+//! [`prepare_contexts`]) and once fanned across CPU cores by
+//! [`evaluate_days`]. The Figure-12 table is printed from
 //! the **sequential** rows, whose per-method timings are measured without
 //! core contention; the sequential pass is repeated `--repeats` times
 //! (default 3) and each per-method timing is the **median** across repeats,
@@ -45,16 +46,8 @@
 
 use bench::{ExpArgs, Json, Table};
 use datagen::GeneratedDomain;
-use evaluation::{
-    evaluate_days_sequential, evaluate_prepared_sequential, prepare_contexts, same_results,
-    BatchRunner, ParallelRunner,
-};
+use evaluation::{evaluate_days, evaluate_prepared_sequential, prepare_contexts, same_results};
 use std::time::{Duration, Instant};
-
-// Count every heap allocation so the `--batch` mode can report how much
-// allocation traffic the warm-arena runner removes (profiling::alloc).
-#[global_allocator]
-static ALLOC: profiling::CountingAllocator = profiling::CountingAllocator::new();
 
 /// Median of a set of duration samples (mean of the two middles when even).
 fn median_duration(samples: &mut [Duration]) -> Duration {
@@ -67,7 +60,7 @@ fn median_duration(samples: &mut [Duration]) -> Duration {
     }
 }
 
-fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
+fn report(domain: &GeneratedDomain, repeats: usize) -> Json {
     // Evaluate the reference day plus the surrounding days (up to three) in
     // one batch, so the timing summary reflects a realistic multi-snapshot
     // evaluation workload.
@@ -81,40 +74,33 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
     // does not absorb the one-time costs — first touch of the snapshot
     // pages, allocator warm-up — that would bias the measured speedup in
     // the fan-out's favor.
-    let _ = evaluate_days_sequential(&domain.collection, &day_indices[..1], false);
+    let _ = evaluate_prepared_sequential(&prepare_contexts(
+        &domain.collection,
+        &day_indices[..1],
+        false,
+    ));
 
     // Context preparation (FusionProblem build + trust sampling) is paid
-    // ONCE, outside the repeat loop: every repeat of the old
-    // `evaluate_days_sequential` call re-seeded the identical preparation
-    // inside the timed region, so on scale-10 scenario worlds `--repeats N`
-    // rebuilt the same contexts N times. The preparation wall is measured
-    // separately and added to the median evaluation wall below, keeping the
-    // reported sequential wall comparable with the single parallel pass
-    // (whose wall includes its own preparation).
-    let allocs_before_prep = profiling::allocation_count();
+    // ONCE, outside the repeat loop, so on scale-10 scenario worlds
+    // `--repeats N` does not rebuild the same contexts N times. The
+    // preparation wall is measured separately and added to the median
+    // evaluation wall below, keeping the reported sequential wall comparable
+    // with the single parallel pass (whose wall includes its own
+    // preparation).
     let prep_start = Instant::now();
     let contexts = prepare_contexts(&domain.collection, &day_indices, false);
     let prep_wall = prep_start.elapsed();
-    let prep_allocs = profiling::allocation_count() - allocs_before_prep;
 
     // Timed sequential pass, `repeats` times. Fusion is deterministic, so
     // the repeats differ only in timing (asserted below); the reported
     // per-method elapsed and sequential wall-clock are medians across the
-    // repeats. Allocation traffic is counted on the first repeat only (plus
-    // the one-time preparation), to stay comparable with the single
-    // parallel/batch passes.
+    // repeats.
     let mut walls: Vec<Duration> = Vec::with_capacity(repeats);
     let mut runs = Vec::with_capacity(repeats);
-    let mut sequential_allocs = 0u64;
-    for rep in 0..repeats {
-        let allocs_before_sequential = profiling::allocation_count();
+    for _ in 0..repeats {
         let sequential_start = Instant::now();
         runs.push(evaluate_prepared_sequential(&contexts));
         walls.push(sequential_start.elapsed());
-        if rep == 0 {
-            sequential_allocs =
-                prep_allocs + profiling::allocation_count() - allocs_before_sequential;
-        }
     }
     let mut sequential = runs.pop().expect("--repeats is clamped to at least 1");
     for run in &runs {
@@ -136,9 +122,7 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
     }
     let sequential_wall = prep_wall + median_duration(&mut walls);
 
-    let allocs_before_parallel = profiling::allocation_count();
-    let evaluation = ParallelRunner::new().evaluate_days(&domain.collection, &day_indices);
-    let parallel_allocs = profiling::allocation_count() - allocs_before_parallel;
+    let evaluation = evaluate_days(&domain.collection, &day_indices, false);
     for (seq_day, par_day) in sequential.iter().zip(&evaluation.days) {
         assert!(
             same_results(&seq_day.rows, &par_day.rows),
@@ -218,47 +202,6 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
         );
     }
 
-    // --batch: the same day selection through the sharded warm-arena
-    // runner, checked bit-identical and reported wall-vs-wall with the
-    // heap-allocation traffic of each pass.
-    let mut batch_json: Option<Json> = None;
-    if batch_mode {
-        let allocs_before_batch = profiling::allocation_count();
-        let batch = BatchRunner::new().evaluate_days(&domain.collection, &day_indices);
-        let batch_allocs = profiling::allocation_count() - allocs_before_batch;
-        for (seq_day, batch_day) in sequential.iter().zip(&batch.days) {
-            assert!(
-                same_results(&seq_day.rows, &batch_day.rows),
-                "batch rows diverged from sequential rows on day {}",
-                seq_day.day
-            );
-        }
-        let wall = batch.wall_clock.as_secs_f64();
-        println!(
-            "Batch: {} days on {} warm shard(s); wall-clock {:.2} s \
-             ({:.2}x vs parallel, {:.2}x vs sequential)",
-            batch.days.len(),
-            batch.num_shards,
-            wall,
-            evaluation.wall_clock.as_secs_f64() / wall.max(f64::MIN_POSITIVE),
-            sequential_wall.as_secs_f64() / wall.max(f64::MIN_POSITIVE),
-        );
-        println!(
-            "Allocations: sequential {sequential_allocs}, parallel {parallel_allocs}, \
-             batch {batch_allocs} ({:.1}% of parallel)",
-            100.0 * batch_allocs as f64 / (parallel_allocs as f64).max(1.0),
-        );
-        batch_json = Some(
-            Json::object()
-                .field("batch_wall_s", Json::Number(wall))
-                .field("batch_shards", Json::int(batch.num_shards))
-                .field("batch_allocations", Json::int(batch_allocs as usize))
-                .field(
-                    "parallel_allocations",
-                    Json::int(parallel_allocs as usize),
-                ),
-        );
-    }
     println!();
 
     // Machine-readable record for the perf trajectory (BENCH_fig12.json):
@@ -276,7 +219,7 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
             })
             .collect(),
     );
-    let mut doc = Json::object()
+    Json::object()
         .field("domain", Json::string(&domain.config.domain))
         .field("num_items", Json::int(day.snapshot.num_items()))
         .field("num_sources", Json::int(day.snapshot.active_sources().len()))
@@ -290,11 +233,7 @@ fn report(domain: &GeneratedDomain, batch_mode: bool, repeats: usize) -> Json {
         .field("fanout_speedup_valid", Json::Bool(fanout_speedup_valid))
         .field("threads", Json::int(evaluation.threads))
         .field("repeats", Json::int(repeats))
-        .field("methods", methods);
-    if let Some(batch) = batch_json {
-        doc = doc.field("batch", batch);
-    }
-    doc
+        .field("methods", methods)
 }
 
 /// Intra-day chunking measurement: the heaviest registry method (AccuCopy)
@@ -313,7 +252,7 @@ fn intra_day_report(args: &ExpArgs, repeats: usize) -> Json {
     let day = world.domain.collection.reference_day();
     let problem = fusion::FusionProblem::from_snapshot(&day.snapshot);
     let method = fusion::method_by_name("AccuCopy").expect("AccuCopy is registered");
-    let threads = evaluation::ChunkPolicy::from_pool().threads();
+    let threads = rayon::current_num_threads();
     // Always exercise the chunked code path in the artifact run, even on one
     // thread (where the timing is flagged invalid below): at least two
     // chunks, at most one per thread once threads > 1.
@@ -560,8 +499,8 @@ fn main() {
     }
 
     let (stock, flight) = args.both_domains("Figure 12");
-    let stock_json = report(&stock, args.batch, args.repeats);
-    let flight_json = report(&flight, args.batch, args.repeats);
+    let stock_json = report(&stock, args.repeats);
+    let flight_json = report(&flight, args.repeats);
     let intra_day = intra_day_report(&args, args.repeats);
     let delta = delta_report(&args, args.repeats);
     println!(
@@ -594,7 +533,7 @@ fn main() {
         )
         .field(
             "rayon_threads",
-            Json::int(evaluation::ChunkPolicy::from_pool().threads()),
+            Json::int(rayon::current_num_threads()),
         )
         .field(
             "available_parallelism",

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! exp_<name> [--scale S] [--days D] [--seed N] [--compare FILE]
-//!            [--batch] [--repeats N] [--fail-on-regression PCT]
+//!            [--repeats N] [--fail-on-regression PCT]
 //! ```
 //!
 //! * `--scale` multiplies the number of objects (default 0.25 — a quarter of
@@ -16,10 +16,6 @@
 //! * `--compare` (only meaningful to `exp_fig12_efficiency`) diffs the fresh
 //!   run against a checked-in `BENCH_fig12.json` trajectory point and prints
 //!   per-method speedup/regression;
-//! * `--batch` (read by `exp_fig8_accuracy` and `exp_fig12_efficiency`)
-//!   additionally runs the sharded `BatchRunner` on the same day selection,
-//!   asserts its rows equal the sequential/parallel passes, and reports
-//!   wall-vs-wall speedup plus heap-allocation counts;
 //! * `--repeats` (read by `exp_fig12_efficiency`) repeats the timed
 //!   sequential pass N times (default 3) and reports the per-method
 //!   **median**, which suppresses one-off scheduler noise on shared or
@@ -53,9 +49,6 @@ pub struct ExpArgs {
     /// Baseline artifact to diff a fresh run against
     /// (`exp_fig12_efficiency --compare BENCH_fig12.json`).
     pub compare: Option<String>,
-    /// Also run the sharded batch runner and report its
-    /// wall-vs-wall speedup and allocation counts (`--batch`).
-    pub batch: bool,
     /// Number of timed repeats of the sequential pass; per-method timings
     /// are the **median** across repeats (`--repeats N`, default 3).
     pub repeats: usize,
@@ -95,7 +88,6 @@ impl Default for ExpArgs {
             days: 0.25,
             seed: 2012,
             compare: None,
-            batch: false,
             repeats: 3,
             fail_on_regression: None,
             fail_on_regression_invalid: false,
@@ -156,9 +148,6 @@ impl ExpArgs {
                     // absent --compare).
                     _ => {}
                 },
-                "--batch" => {
-                    parsed.batch = true;
-                }
                 "--repeats" => {
                     if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
                         parsed.repeats = v.max(1);
@@ -196,7 +185,7 @@ impl ExpArgs {
                         }
                         // Missing or malformed PCT: record the error and do
                         // NOT consume the next token, so a following flag
-                        // (e.g. `--batch`) still applies.
+                        // (e.g. `--check`) still applies.
                         _ => parsed.fail_on_regression_invalid = true,
                     }
                 }
@@ -294,20 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_regression_flags_parse() {
-        let parsed = ExpArgs::from_args(&args_of(&[
-            "--batch",
-            "--fail-on-regression",
-            "7.5",
-            "--scale",
-            "0.5",
-        ]));
-        assert!(parsed.batch);
+    fn regression_flags_parse() {
+        let parsed =
+            ExpArgs::from_args(&args_of(&["--fail-on-regression", "7.5", "--scale", "0.5"]));
         assert_eq!(parsed.fail_on_regression, Some(7.5));
         assert_eq!(parsed.scale, 0.5);
 
         let defaults = ExpArgs::from_args(&args_of(&[]));
-        assert!(!defaults.batch);
         assert_eq!(defaults.fail_on_regression, None);
         assert!(!defaults.fail_on_regression_invalid);
     }
@@ -320,9 +302,9 @@ mod tests {
         assert_eq!(ExpArgs::from_args(&args_of(&["--repeats", "5"])).repeats, 5);
         assert_eq!(ExpArgs::from_args(&args_of(&["--repeats", "0"])).repeats, 1);
         // Malformed count keeps the default and does not swallow a flag.
-        let bad = ExpArgs::from_args(&args_of(&["--repeats", "--batch"]));
+        let bad = ExpArgs::from_args(&args_of(&["--repeats", "--check"]));
         assert_eq!(bad.repeats, 3);
-        assert!(bad.batch);
+        assert!(bad.check);
     }
 
     /// The regression gate must fail **closed**: a malformed or missing PCT
@@ -335,10 +317,13 @@ mod tests {
         assert!(bad.fail_on_regression_invalid);
 
         // The next flag is not consumed as the PCT value.
-        let chained = ExpArgs::from_args(&args_of(&["--fail-on-regression", "--batch"]));
+        let chained = ExpArgs::from_args(&args_of(&["--fail-on-regression", "--check"]));
         assert_eq!(chained.fail_on_regression, None);
         assert!(chained.fail_on_regression_invalid);
-        assert!(chained.batch, "--batch must survive the malformed gate flag");
+        assert!(
+            chained.check,
+            "--check must survive the malformed gate flag"
+        );
 
         // Trailing flag with no value at all.
         let missing = ExpArgs::from_args(&args_of(&["--fail-on-regression"]));
@@ -401,13 +386,16 @@ mod tests {
     /// `--compare` must not swallow a following flag as its file path.
     #[test]
     fn compare_never_consumes_a_following_flag() {
-        let chained = ExpArgs::from_args(&args_of(&["--compare", "--batch"]));
+        let chained = ExpArgs::from_args(&args_of(&["--compare", "--check"]));
         assert_eq!(chained.compare, None);
-        assert!(chained.batch, "--batch must survive the valueless --compare");
+        assert!(
+            chained.check,
+            "--check must survive the valueless --compare"
+        );
 
-        let ok = ExpArgs::from_args(&args_of(&["--compare", "BENCH_fig12.json", "--batch"]));
+        let ok = ExpArgs::from_args(&args_of(&["--compare", "BENCH_fig12.json", "--check"]));
         assert_eq!(ok.compare.as_deref(), Some("BENCH_fig12.json"));
-        assert!(ok.batch);
+        assert!(ok.check);
 
         let trailing = ExpArgs::from_args(&args_of(&["--compare"]));
         assert_eq!(trailing.compare, None);

@@ -11,26 +11,20 @@
 //! * [`delta_usage`] — aggregated [`fusion::DeltaEngine`] activity
 //!   (fall-backs, cache hits, dirty fractions) for the online service and
 //!   Figure 12's delta sweep;
-//! * [`parallel`] — the multi-core runner fanning all sixteen methods ×
-//!   any number of snapshot days across CPU cores (Figure 12's efficiency
-//!   story at to-day's core counts);
-//! * [`batch`] — the sharded batch runner: contiguous day shards, one warm
-//!   [`fusion::ProblemBuilder`] (in-place CSR refills) and
-//!   [`fusion::FusionScratch`] per shard, rows bit-identical to the
-//!   sequential runner;
-//! * [`chunk_policy`] — picks between across-task fan-out and intra-day
-//!   [`fusion::chunking`] from the task stats (few big days chunk within
-//!   the day, many small days fan across days);
+//! * [`parallel`] — the one multi-day runner, [`evaluate_days`]: a
+//!   dynamically scheduled (day, method) fan-out across CPU cores (Table 7,
+//!   Figure 12), rows bit-identical to the sequential reference; when the
+//!   tasks are fewer than the pool's threads, the spare threads go to
+//!   intra-day [`fusion::chunking`] within each method run;
 //! * [`breakdown`] — precision vs. dominance factor (Figure 10);
 //! * [`errors`] — error analysis of a method's mistakes (Figure 11);
-//! * [`over_time`] — precision over all collection days (Table 9) on the
-//!   sharded batch core;
+//! * [`over_time`] — precision over all collection days (Table 9), one
+//!   pool task per day;
 //! * [`scenario`] — golden-metrics rows for the adversarial stress
 //!   scenarios (per-method precision + copy-detection hit rates).
 
-pub mod batch;
 pub mod breakdown;
-pub mod chunk_policy;
+mod chunk_policy;
 pub mod compare;
 pub mod delta_usage;
 pub mod errors;
@@ -41,9 +35,7 @@ pub mod parallel;
 pub mod runner;
 pub mod scenario;
 
-pub use batch::{shard_plan, BatchEvaluation, BatchRunner};
 pub use breakdown::{precision_by_dominance, DominancePrecisionPoint};
-pub use chunk_policy::ChunkPolicy;
 pub use compare::{compare_methods, MethodComparison, PAPER_METHOD_PAIRS};
 pub use delta_usage::DeltaUsage;
 pub use errors::{analyze_errors, ErrorAnalysis, ErrorCause};
@@ -53,8 +45,8 @@ pub use metrics::{
 };
 pub use over_time::{evaluate_over_time, MethodOverTime};
 pub use parallel::{
-    evaluate_days_sequential, evaluate_prepared_sequential, prepare_contexts, same_results,
-    DayEvaluation, ParallelEvaluation, ParallelRunner,
+    evaluate_days, evaluate_prepared_sequential, prepare_contexts, same_results, DayEvaluation,
+    ParallelEvaluation,
 };
 pub use runner::{
     copy_report_to_dense, evaluate_all_methods, evaluate_method, evaluate_method_with_chunks,

@@ -1,23 +1,21 @@
 //! Precision over the full collection period (Table 9): average, minimum,
 //! and standard deviation of every method's daily precision.
 //!
-//! The per-day runs ride on the sharded batch core: the days are cut into
-//! contiguous shards ([`shard_plan`]), each shard fuses its day range
-//! against one [`ProblemBuilder`] (in-place problem refills) and one
-//! [`FusionScratch`] (reused method scratch), and the per-day precision
-//! vectors are concatenated in day order — the same numbers a cold
-//! one-problem-per-day loop produces, without its per-day allocations.
+//! Each collection day is one task on the dynamically scheduled pool: the
+//! task prepares the day's [`FusionProblem`] cold and runs the sixteen
+//! standard methods on it through one shared [`FusionScratch`], so at most
+//! one problem per worker thread is alive at a time, and the per-day
+//! precision vectors are gathered back in day order.
 //!
 //! Only the standard (without-trust) runs enter Table 9, so the oracle copy
 //! groups are never read. The days are prepared cold rather than through a
 //! day-over-day [`fusion::DeltaEngine`]: generated days drift enough that
 //! nearly every day would fall back to a full re-preparation, and a warm
-//! engine serializes the days that this runner shards across workers.
+//! engine serializes the days that this function fans across workers.
 
-use crate::batch::shard_plan;
 use crate::metrics::precision_recall;
-use datamodel::Collection;
-use fusion::{all_methods, FusionOptions, FusionScratch, ProblemBuilder};
+use datamodel::{Collection, CollectionDay};
+use fusion::{all_methods, FusionOptions, FusionProblem, FusionScratch};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -44,34 +42,26 @@ pub struct MethodOverTime {
 pub fn evaluate_over_time(collection: &Collection) -> Vec<MethodOverTime> {
     let mut rows = method_rows();
 
-    // Contiguous day shards, one warm builder + scratch per shard; each inner
-    // vector is one day's per-method precisions, concatenated back in day
-    // order.
-    let weights: Vec<usize> = collection.days().map(|d| d.snapshot.num_items()).collect();
-    let plan = shard_plan(&weights, rayon::current_num_threads());
+    // One task per day; each inner vector is one day's per-method
+    // precisions, returned in day order.
+    let methods = all_methods();
     let options = FusionOptions::standard();
-    let per_shard: Vec<Vec<Vec<f64>>> = plan
-        .into_par_iter()
-        .map(|range| {
-            let methods = all_methods();
-            let mut builder = ProblemBuilder::new();
+    let days: Vec<&CollectionDay> = collection.days().collect();
+    let per_day: Vec<Vec<f64>> = days
+        .par_iter()
+        .map(|day| {
+            let problem = FusionProblem::from_snapshot(&day.snapshot);
             let mut scratch = FusionScratch::new();
-            range
-                .map(|i| {
-                    let day = collection.day(i);
-                    let problem = builder.prepare(&day.snapshot);
-                    methods
-                        .iter()
-                        .map(|(_, method)| {
-                            let result = method.run_with_scratch(problem, &options, &mut scratch);
-                            precision_recall(&day.snapshot, &day.gold, &result).precision
-                        })
-                        .collect()
+            methods
+                .iter()
+                .map(|(_, method)| {
+                    let result = method.run_with_scratch(&problem, &options, &mut scratch);
+                    precision_recall(&day.snapshot, &day.gold, &result).precision
                 })
                 .collect()
         })
         .collect();
-    for day_precisions in per_shard.into_iter().flatten() {
+    for day_precisions in per_day {
         for (row, precision) in rows.iter_mut().zip(day_precisions) {
             row.daily_precision.push(precision);
         }
@@ -115,7 +105,6 @@ fn summarize(rows: &mut [MethodOverTime]) {
 mod tests {
     use super::*;
     use datagen::{generate, stock_config};
-    use fusion::FusionProblem;
 
     #[test]
     fn over_time_rows_cover_every_method_and_day() {

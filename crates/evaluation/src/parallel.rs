@@ -1,22 +1,25 @@
-//! Parallel evaluation runner: fan the sixteen registry methods — and any
-//! number of collection days — across CPU cores.
+//! Multi-day evaluation: fan the sixteen registry methods — and any number
+//! of collection days — across CPU cores.
 //!
 //! The sequential [`runner`](crate::runner) evaluates methods one at a time;
 //! on the paper's workload that is dominated by a few expensive methods (the
 //! per-attribute ACCU variants and ACCUCOPY take orders of magnitude longer
-//! than VOTE, see Figure 12). [`ParallelRunner`] runs each (day, method)
-//! pair as one task on a work-stealing pool, so the cheap methods fill the
-//! cores while the expensive ones run, and a multi-day evaluation
-//! (Table 9 / Figure 8) scales with the number of snapshots.
+//! than VOTE, see Figure 12). [`evaluate_days`] runs each (day, method) pair
+//! as one task on a dynamically scheduled pool, so the cheap methods fill the
+//! cores while the expensive ones run, no worker idles on a last day while
+//! another still has methods queued, and a multi-day evaluation (Table 7,
+//! Figure 12) scales with the number of snapshots. It is the crate's one
+//! multi-day runner.
 //!
 //! Every method run is deterministic (no randomness at fusion time), so the
-//! parallel runner produces **identical** rows to the sequential one —
-//! selected values, precision, trust, rounds — except for the measured
-//! `elapsed` wall-clock field, which is timing noise by nature. The
-//! `same_results` helper encodes that equivalence and is exercised by the
-//! integration tests.
+//! fan-out produces **identical** rows to the sequential reference,
+//! [`evaluate_prepared_sequential`] over [`prepare_contexts`] — selected
+//! values, precision, trust, rounds — except for the measured `elapsed`
+//! wall-clock field, which is timing noise by nature. [`same_results`]
+//! encodes that equivalence; `tests/batch_equivalence.rs` pins it across
+//! seeds, scales, day selections, both copy paths and pool sizes.
 
-use crate::chunk_policy::ChunkPolicy;
+use crate::chunk_policy::intra_day_chunks;
 use crate::runner::{
     evaluate_all_methods, evaluate_method_with_chunks, EvaluationContext, MethodEvaluation,
 };
@@ -26,19 +29,6 @@ use fusion::all_methods;
 use rayon::prelude::*;
 use serde::Serialize;
 use std::time::{Duration, Instant};
-
-/// Fans fusion-method evaluations across CPU cores.
-///
-/// Construct with [`ParallelRunner::new`], optionally enable the oracle
-/// copying knowledge with [`with_known_copying`](Self::with_known_copying),
-/// then evaluate a single prepared context
-/// ([`evaluate_all_methods`](Self::evaluate_all_methods)) or whole
-/// collections ([`evaluate_collection`](Self::evaluate_collection),
-/// [`evaluate_days`](Self::evaluate_days)).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelRunner {
-    use_known_copying: bool,
-}
 
 /// All sixteen Table-7 rows for one collection day.
 #[derive(Debug, Clone, Serialize)]
@@ -76,7 +66,7 @@ impl ParallelEvaluation {
     /// Ratio of summed per-task time to wall-clock time; > 1 means the
     /// fan-out beat a sequential run (upper-bounded by `threads`). For a
     /// measured — rather than estimated — baseline, time
-    /// [`evaluate_days_sequential`] on the same selection.
+    /// [`evaluate_prepared_sequential`] on the same selection.
     pub fn speedup(&self) -> f64 {
         let wall = self.wall_clock.as_secs_f64();
         if wall <= 0.0 {
@@ -86,157 +76,89 @@ impl ParallelEvaluation {
     }
 }
 
-impl ParallelRunner {
-    /// A runner with the standard options (no oracle copying knowledge).
-    pub fn new() -> Self {
-        Self::default()
+/// Evaluate the sixteen registry methods on the selected days of a
+/// collection, fanning all (day, method) pairs across the pool at once so
+/// expensive methods on one day overlap cheap methods on another. Rows come
+/// back in request order; a day selected twice is evaluated twice.
+///
+/// With `use_known_copying`, the planted/claimed copy groups (Table 5) are
+/// fed to the oracle with-trust runs of copy-aware methods, as Table 7 does.
+///
+/// # Panics
+///
+/// Panics if any index in `day_indices` is out of range for the collection
+/// (mirroring [`Collection::day`]).
+pub fn evaluate_days(
+    collection: &Collection,
+    day_indices: &[usize],
+    use_known_copying: bool,
+) -> ParallelEvaluation {
+    let start = Instant::now();
+
+    // Phase 1: prepare one context per requested day, in parallel.
+    // (FusionProblem preparation and trust sampling are themselves
+    // non-trivial on paper-scale snapshots.)
+    let days: Vec<&CollectionDay> = day_indices.iter().map(|&i| collection.day(i)).collect();
+    let contexts: Vec<EvaluationContext<'_>> = days
+        .par_iter()
+        .map(|day| prepare_context(day, use_known_copying))
+        .collect();
+
+    // Phase 2: one task per (day, method) pair. Method index rides along so
+    // the rows can be reassembled in Table-7 order per day. The method
+    // objects are built once and shared (`FusionMethod` is `Send + Sync`).
+    // Each task is timed as a whole — a method evaluation runs the method
+    // twice (without and with input trust) plus the metrics, and all of that
+    // is work a sequential runner would pay for, so only the full task time
+    // gives an honest speedup numerator.
+    let methods = all_methods();
+    let tasks: Vec<(usize, usize)> = (0..contexts.len())
+        .flat_map(|day| (0..methods.len()).map(move |method| (day, method)))
+        .collect();
+    // Spare threads (pool wider than the task list — one huge day on a
+    // many-core box) go to intra-day chunking; the usual many-task case
+    // keeps every run sequential. Bit-identical either way.
+    let threads = rayon::current_num_threads();
+    let num_tasks = tasks.len();
+    let evaluated: Vec<(usize, MethodEvaluation, Duration)> = tasks
+        .into_par_iter()
+        .map(|(day, method_index)| {
+            let task_start = Instant::now();
+            let (category, method) = &methods[method_index];
+            let context = &contexts[day];
+            let chunks = intra_day_chunks(threads, num_tasks, context.problem.num_items());
+            let row = evaluate_method_with_chunks(context, *category, method.as_ref(), chunks);
+            (day, row, task_start.elapsed())
+        })
+        .collect();
+
+    // Reassemble: rows arrive ordered by task index (day-major), so a stable
+    // pass per day suffices.
+    let mut day_rows: Vec<Vec<MethodEvaluation>> =
+        (0..contexts.len()).map(|_| Vec::new()).collect();
+    let mut total_method_time = Duration::ZERO;
+    for (day, row, task_time) in evaluated {
+        total_method_time += task_time;
+        day_rows[day].push(row);
     }
 
-    /// Feed the planted/claimed copy groups (Table 5) to the oracle
-    /// with-trust runs of copy-aware methods, as Table 7 does.
-    pub fn with_known_copying(mut self) -> Self {
-        self.use_known_copying = true;
-        self
-    }
+    let days = day_rows
+        .into_iter()
+        .zip(days)
+        .enumerate()
+        .map(|(day_index, (rows, day))| DayEvaluation {
+            day_index,
+            day: day.snapshot.day(),
+            rows,
+        })
+        .collect();
 
-    /// Evaluate all sixteen registry methods on one prepared context, one
-    /// task per method, returning rows in Table-7 order (the parallel
-    /// equivalent of [`evaluate_all_methods`]).
-    ///
-    /// If the runner was built [`with_known_copying`](Self::with_known_copying)
-    /// and the context does not already carry a copy report, the oracle
-    /// report is derived from the snapshot's schema here, exactly as
-    /// [`evaluate_days`](Self::evaluate_days) does.
-    pub fn evaluate_all_methods(
-        &self,
-        context: &EvaluationContext<'_>,
-    ) -> Vec<MethodEvaluation> {
-        let enriched = (self.use_known_copying && context.known_copying.is_none()).then(|| {
-            let report = known_copying(context.snapshot.schema());
-            context.clone().with_known_copying(&report)
-        });
-        let context = enriched.as_ref().unwrap_or(context);
-        let methods = all_methods();
-        // Sixteen method tasks over one day: on pools wider than the method
-        // count each task also chunks within the day (bit-identical either
-        // way, see `ChunkPolicy`).
-        let policy = ChunkPolicy::from_pool();
-        let chunks = policy.intra_day_chunks(methods.len(), context.problem.num_items());
-        methods
-            .into_par_iter()
-            .map(|(category, method)| {
-                evaluate_method_with_chunks(context, category, method.as_ref(), chunks)
-            })
-            .collect()
-    }
-
-    /// Evaluate every day of a collection; see [`evaluate_days`](Self::evaluate_days).
-    pub fn evaluate_collection(&self, collection: &Collection) -> ParallelEvaluation {
-        let indices: Vec<usize> = (0..collection.num_days()).collect();
-        self.evaluate_days(collection, &indices)
-    }
-
-    /// Evaluate the sixteen registry methods on the selected days of a
-    /// collection, fanning all (day, method) pairs across the pool at once
-    /// so expensive methods on one day overlap cheap methods on another.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index in `day_indices` is out of range for the
-    /// collection (mirroring [`Collection::day`]).
-    pub fn evaluate_days(
-        &self,
-        collection: &Collection,
-        day_indices: &[usize],
-    ) -> ParallelEvaluation {
-        let start = Instant::now();
-
-        // Phase 1: prepare one context per requested day, in parallel.
-        // (FusionProblem preparation and trust sampling are themselves
-        // non-trivial on paper-scale snapshots.)
-        let days: Vec<&CollectionDay> = day_indices.iter().map(|&i| collection.day(i)).collect();
-        let contexts: Vec<EvaluationContext<'_>> = days
-            .par_iter()
-            .map(|day| {
-                let context = EvaluationContext::new(&day.snapshot, &day.gold);
-                if self.use_known_copying {
-                    let report = known_copying(day.snapshot.schema());
-                    context.with_known_copying(&report)
-                } else {
-                    context
-                }
-            })
-            .collect();
-
-        // Phase 2: one task per (day, method) pair. Method index rides along
-        // so the rows can be reassembled in Table-7 order per day. The
-        // method objects are built once and shared (`FusionMethod` is
-        // `Send + Sync`). Each task is timed as a whole — evaluate_method
-        // runs the method twice (without and with input trust) plus the
-        // metrics, and all of that is work a sequential runner would pay
-        // for, so only the full task time gives an honest speedup numerator.
-        let methods = all_methods();
-        let tasks: Vec<(usize, usize)> = (0..contexts.len())
-            .flat_map(|day| (0..methods.len()).map(move |method| (day, method)))
-            .collect();
-        // Spare threads (pool wider than the task list — one huge day on a
-        // many-core box) go to intra-day chunking; the usual many-task case
-        // keeps every run sequential. Bit-identical either way.
-        let policy = ChunkPolicy::from_pool();
-        let num_tasks = tasks.len();
-        let evaluated: Vec<(usize, usize, MethodEvaluation, Duration)> = tasks
-            .into_par_iter()
-            .map(|(day, method_index)| {
-                let task_start = Instant::now();
-                let (category, method) = &methods[method_index];
-                let chunks =
-                    policy.intra_day_chunks(num_tasks, contexts[day].problem.num_items());
-                let row =
-                    evaluate_method_with_chunks(&contexts[day], *category, method.as_ref(), chunks);
-                (day, method_index, row, task_start.elapsed())
-            })
-            .collect();
-
-        // Reassemble: rows arrive ordered by task index (day-major), so a
-        // stable pass per day suffices.
-        let mut day_rows: Vec<Vec<MethodEvaluation>> =
-            (0..contexts.len()).map(|_| Vec::new()).collect();
-        let mut total_method_time = Duration::ZERO;
-        for (day, _method_index, row, task_time) in evaluated {
-            total_method_time += task_time;
-            day_rows[day].push(row);
-        }
-
-        let days = day_rows
-            .into_iter()
-            .zip(days)
-            .enumerate()
-            .map(|(day_index, (rows, day))| DayEvaluation {
-                day_index,
-                day: day.snapshot.day(),
-                rows,
-            })
-            .collect();
-
-        ParallelEvaluation {
-            days,
-            wall_clock: start.elapsed(),
-            total_method_time,
-            threads: rayon::current_num_threads(),
-            kernel_backend: fusion::kernels::backend_name().to_string(),
-        }
-    }
-
-    /// Fan an arbitrary per-day computation across the pool, preserving day
-    /// order — the building block the profiling-style experiments (Figure 8,
-    /// Table 9) use for measurements that are not fusion runs.
-    pub fn map_days<'c, R, F>(&self, collection: &'c Collection, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&'c CollectionDay) -> R + Sync + Send,
-    {
-        let days: Vec<&CollectionDay> = collection.days().collect();
-        days.into_par_iter().map(f).collect()
+    ParallelEvaluation {
+        days,
+        wall_clock: start.elapsed(),
+        total_method_time,
+        threads,
+        kernel_backend: fusion::kernels::backend_name().to_string(),
     }
 }
 
@@ -257,10 +179,22 @@ pub fn same_results(a: &[MethodEvaluation], b: &[MethodEvaluation]) -> bool {
         })
 }
 
-/// Build one evaluation context per selected day, sequentially. This is the
-/// preparation half of [`evaluate_days_sequential`], split out so repeated
-/// timing runs (`exp_fig12_efficiency --repeats`) can pay for `FusionProblem`
-/// preparation once and re-time only the method evaluations.
+/// One day's evaluation context, with the oracle copy report attached when
+/// `use_known_copying` is set.
+fn prepare_context(day: &CollectionDay, use_known_copying: bool) -> EvaluationContext<'_> {
+    let context = EvaluationContext::new(&day.snapshot, &day.gold);
+    if use_known_copying {
+        let report = known_copying(day.snapshot.schema());
+        context.with_known_copying(&report)
+    } else {
+        context
+    }
+}
+
+/// Build one evaluation context per selected day, sequentially — the
+/// preparation half of the sequential reference, split out so repeated
+/// timing runs (`exp_fig12_efficiency --repeats`) can pay for
+/// `FusionProblem` preparation once and re-time only the method evaluations.
 pub fn prepare_contexts<'c>(
     collection: &'c Collection,
     day_indices: &[usize],
@@ -268,21 +202,14 @@ pub fn prepare_contexts<'c>(
 ) -> Vec<EvaluationContext<'c>> {
     day_indices
         .iter()
-        .map(|&i| {
-            let day = collection.day(i);
-            let context = EvaluationContext::new(&day.snapshot, &day.gold);
-            if use_known_copying {
-                let report = known_copying(day.snapshot.schema());
-                context.with_known_copying(&report)
-            } else {
-                context
-            }
-        })
+        .map(|&i| prepare_context(collection.day(i), use_known_copying))
         .collect()
 }
 
 /// Evaluate prepared contexts sequentially, one [`DayEvaluation`] per
-/// context, in order. The evaluation half of [`evaluate_days_sequential`].
+/// context, in order: the sequential reference [`evaluate_days`] is pinned
+/// against, and the pass Figure 12 takes its uncontended per-method timings
+/// from.
 pub fn evaluate_prepared_sequential(contexts: &[EvaluationContext<'_>]) -> Vec<DayEvaluation> {
     contexts
         .iter()
@@ -295,42 +222,48 @@ pub fn evaluate_prepared_sequential(contexts: &[EvaluationContext<'_>]) -> Vec<D
         .collect()
 }
 
-/// Convenience: sequential baseline rows for the same selection of days,
-/// used by the efficiency experiment to report the speedup honestly.
-pub fn evaluate_days_sequential(
-    collection: &Collection,
-    day_indices: &[usize],
-    use_known_copying: bool,
-) -> Vec<DayEvaluation> {
-    evaluate_prepared_sequential(&prepare_contexts(collection, day_indices, use_known_copying))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use datagen::{generate, stock_config};
 
+    /// The sequential reference rows for a selection.
+    fn sequential(
+        collection: &Collection,
+        day_indices: &[usize],
+        use_known_copying: bool,
+    ) -> Vec<DayEvaluation> {
+        evaluate_prepared_sequential(&prepare_contexts(
+            collection,
+            day_indices,
+            use_known_copying,
+        ))
+    }
+
     #[test]
     fn parallel_matches_sequential_on_one_context() {
         let domain = generate(&stock_config(31).scaled(0.015, 0.1));
-        let day = domain.collection.reference_day();
+        let reference = domain.collection.reference_day_index();
+        let day = domain.collection.day(reference);
         let context = EvaluationContext::new(&day.snapshot, &day.gold);
         let sequential = evaluate_all_methods(&context);
-        let parallel = ParallelRunner::new().evaluate_all_methods(&context);
-        assert_eq!(parallel.len(), 16);
+        let parallel = evaluate_days(&domain.collection, &[reference], false);
+        let rows = &parallel.days[0].rows;
+        assert_eq!(rows.len(), 16);
         assert!(
-            same_results(&sequential, &parallel),
+            same_results(&sequential, rows),
             "parallel rows diverged from sequential rows"
         );
         // Table-7 order is preserved.
-        assert_eq!(parallel[0].method, "Vote");
-        assert_eq!(parallel[15].method, "AccuCopy");
+        assert_eq!(rows[0].method, "Vote");
+        assert_eq!(rows[15].method, "AccuCopy");
     }
 
     #[test]
     fn multi_day_fanout_covers_every_day_and_method() {
         let domain = generate(&stock_config(32).scaled(0.01, 0.2));
-        let report = ParallelRunner::new().evaluate_collection(&domain.collection);
+        let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
+        let report = evaluate_days(&domain.collection, &indices, false);
         assert_eq!(report.days.len(), domain.collection.num_days());
         for (i, day) in report.days.iter().enumerate() {
             assert_eq!(day.day_index, i);
@@ -351,37 +284,36 @@ mod tests {
     fn multi_day_fanout_matches_sequential_baseline() {
         let domain = generate(&stock_config(33).scaled(0.01, 0.15));
         let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
-        let parallel = ParallelRunner::new()
-            .with_known_copying()
-            .evaluate_days(&domain.collection, &indices);
-        let sequential = evaluate_days_sequential(&domain.collection, &indices, true);
+        let parallel = evaluate_days(&domain.collection, &indices, true);
+        let sequential = sequential(&domain.collection, &indices, true);
         assert_eq!(parallel.days.len(), sequential.len());
         for (p, s) in parallel.days.iter().zip(&sequential) {
             assert_eq!(p.day, s.day);
-            assert!(same_results(&p.rows, &s.rows), "day {} diverged", p.day_index);
+            assert!(
+                same_results(&p.rows, &s.rows),
+                "day {} diverged",
+                p.day_index
+            );
         }
     }
 
     #[test]
     fn with_known_copying_applies_to_single_context_evaluation() {
         let domain = generate(&stock_config(35).scaled(0.015, 0.1));
-        let day = domain.collection.reference_day();
+        let reference = domain.collection.reference_day_index();
+        let day = domain.collection.day(reference);
 
-        // A plain context handed to a with_known_copying runner must behave
-        // exactly like a context that was enriched with the oracle upfront.
-        let plain = EvaluationContext::new(&day.snapshot, &day.gold);
-        let from_runner = ParallelRunner::new()
-            .with_known_copying()
-            .evaluate_all_methods(&plain);
+        // The runner's oracle flag must behave exactly like a context that
+        // was enriched with the oracle upfront.
+        let from_runner = evaluate_days(&domain.collection, &[reference], true);
 
         let report = copydetect::known_copying(day.snapshot.schema());
-        let enriched =
-            EvaluationContext::new(&day.snapshot, &day.gold).with_known_copying(&report);
+        let enriched = EvaluationContext::new(&day.snapshot, &day.gold).with_known_copying(&report);
         let from_context = evaluate_all_methods(&enriched);
 
         assert!(
-            same_results(&from_runner, &from_context),
-            "runner-level with_known_copying diverged from context-level oracle"
+            same_results(&from_runner.days[0].rows, &from_context),
+            "runner-level known copying diverged from context-level oracle"
         );
     }
 
@@ -389,7 +321,7 @@ mod tests {
     fn prepared_split_matches_one_shot_sequential() {
         let domain = generate(&stock_config(36).scaled(0.01, 0.15));
         let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
-        let one_shot = evaluate_days_sequential(&domain.collection, &indices, true);
+        let one_shot = sequential(&domain.collection, &indices, true);
         let contexts = prepare_contexts(&domain.collection, &indices, true);
         // Re-evaluating the same prepared contexts twice must keep producing
         // the one-shot rows (the --repeats pattern).
@@ -401,14 +333,5 @@ mod tests {
                 assert!(same_results(&a.rows, &b.rows));
             }
         }
-    }
-
-    #[test]
-    fn map_days_preserves_order() {
-        let domain = generate(&stock_config(34).scaled(0.01, 0.2));
-        let stamps: Vec<u32> =
-            ParallelRunner::new().map_days(&domain.collection, |day| day.snapshot.day());
-        let expected: Vec<u32> = domain.collection.days().map(|d| d.snapshot.day()).collect();
-        assert_eq!(stamps, expected);
     }
 }

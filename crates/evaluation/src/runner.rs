@@ -1,6 +1,11 @@
 //! Running fusion methods over a snapshot and collecting the Table-7
 //! measurements: precision with and without input trust, trustworthiness
 //! deviation and difference, execution time.
+//!
+//! An [`EvaluationContext`] is prepared once per snapshot and every method
+//! row is computed from it. [`crate::parallel::evaluate_days`] fans these
+//! rows across days and methods; [`evaluate_all_methods`] is the sequential
+//! per-context reference.
 
 use crate::metrics::{precision_recall, sampled_trust, trust_deviation_and_difference};
 use copydetect::CopyReport;
@@ -10,25 +15,18 @@ use fusion::{
     FusionResult, FusionScratch, MethodCategory,
 };
 use serde::Serialize;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Everything needed to evaluate methods on one snapshot.
-///
-/// Cloning is cheap: the snapshot and gold standard are borrowed, the
-/// prepared problem (with all its `Value` strings) sits behind an `Arc`
-/// shared by every clone, and only the sampled-trust vector and optional
-/// copy matrix are flat copies — so parallel runners can hand contexts
-/// around without re-preparing or duplicating the problem.
-#[derive(Clone)]
+/// Everything needed to evaluate methods on one snapshot: the borrowed
+/// snapshot and gold standard plus what is prepared from them once and
+/// shared by every method run.
 pub struct EvaluationContext<'a> {
     /// The observation table.
     pub snapshot: &'a Snapshot,
     /// The gold standard precision is measured against.
     pub gold: &'a GoldStandard,
-    /// The prepared fusion problem (built once, shared by all methods and all
-    /// clones of the context).
-    pub problem: Arc<FusionProblem>,
+    /// The prepared fusion problem (built once, shared by all methods).
+    pub problem: FusionProblem,
     /// Sampled source trust (accuracy against the gold standard), used for
     /// the "with trust" runs and for trust deviation/difference.
     pub sampled_trust: Vec<f64>,
@@ -46,7 +44,7 @@ impl<'a> EvaluationContext<'a> {
         Self {
             snapshot,
             gold,
-            problem: Arc::new(problem),
+            problem,
             sampled_trust,
             known_copying: None,
         }
@@ -95,56 +93,6 @@ pub struct MethodEvaluation {
     pub elapsed: Duration,
 }
 
-/// Core of [`evaluate_method`]: the context is passed piecewise (snapshot,
-/// gold, problem, sampled trust, optional oracle copying) together with a
-/// caller-owned [`FusionScratch`], so the per-context runners and the
-/// warm-arena batch runner share one code path — which is what makes their
-/// rows bit-identical by construction.
-///
-/// `intra_day_chunks` is forwarded to
-/// [`FusionOptions::with_intra_day_chunks`] for both the without-trust and
-/// with-trust runs; chunked fusion is bit-identical to sequential fusion, so
-/// the value only affects timing (see [`crate::chunk_policy::ChunkPolicy`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_method_core(
-    snapshot: &Snapshot,
-    gold: &GoldStandard,
-    problem: &FusionProblem,
-    sampled_trust: &[f64],
-    known_copying: Option<&CopyMatrix>,
-    category: MethodCategory,
-    method: &dyn FusionMethod,
-    scratch: &mut FusionScratch,
-    intra_day_chunks: usize,
-) -> MethodEvaluation {
-    let standard = FusionOptions::standard().with_intra_day_chunks(intra_day_chunks);
-    let without = method.run_with_scratch(problem, &standard, scratch);
-    let pr_without = precision_recall(snapshot, gold, &without);
-    let (deviation, difference) =
-        trust_deviation_and_difference(&without.trust.overall, sampled_trust);
-
-    let mut with_opts = FusionOptions::standard()
-        .with_intra_day_chunks(intra_day_chunks)
-        .with_input_trust(sampled_trust.to_vec());
-    if let Some(known) = known_copying {
-        with_opts = with_opts.with_known_copying(known.clone());
-    }
-    let with = method.run_with_scratch(problem, &with_opts, scratch);
-    let pr_with = precision_recall(snapshot, gold, &with);
-
-    MethodEvaluation {
-        method: method.name(),
-        category: category.label().to_string(),
-        precision_without_trust: pr_without.precision,
-        recall_without_trust: pr_without.recall,
-        precision_with_trust: pr_with.precision,
-        trust_deviation: deviation,
-        trust_difference: difference,
-        rounds: without.rounds,
-        elapsed: without.elapsed,
-    }
-}
-
 /// Evaluate a single method on a context. `category` is only used for the
 /// report label. Runs sequentially; use [`evaluate_method_with_chunks`] to
 /// let one method parallelize within the day.
@@ -157,27 +105,44 @@ pub fn evaluate_method(
 }
 
 /// [`evaluate_method`] with an explicit intra-day chunk count (see
-/// [`fusion::chunking`]); `0` keeps the method sequential. Chunked rows are
+/// [`fusion::chunking`]), forwarded to both the without-trust and the
+/// with-trust run; `0` keeps the method sequential. Chunked rows are
 /// bit-identical to sequential rows, so callers choose the count purely on
-/// performance grounds — typically via
-/// [`ChunkPolicy`](crate::chunk_policy::ChunkPolicy).
+/// performance grounds, as [`crate::parallel::evaluate_days`] does from its
+/// task count.
 pub fn evaluate_method_with_chunks(
     context: &EvaluationContext<'_>,
     category: MethodCategory,
     method: &dyn FusionMethod,
     intra_day_chunks: usize,
 ) -> MethodEvaluation {
-    evaluate_method_core(
-        context.snapshot,
-        context.gold,
-        &context.problem,
-        &context.sampled_trust,
-        context.known_copying.as_ref(),
-        category,
-        method,
-        &mut FusionScratch::new(),
-        intra_day_chunks,
-    )
+    let mut scratch = FusionScratch::new();
+    let standard = FusionOptions::standard().with_intra_day_chunks(intra_day_chunks);
+    let without = method.run_with_scratch(&context.problem, &standard, &mut scratch);
+    let pr_without = precision_recall(context.snapshot, context.gold, &without);
+    let (deviation, difference) =
+        trust_deviation_and_difference(&without.trust.overall, &context.sampled_trust);
+
+    let mut with_opts = FusionOptions::standard()
+        .with_intra_day_chunks(intra_day_chunks)
+        .with_input_trust(context.sampled_trust.clone());
+    if let Some(known) = &context.known_copying {
+        with_opts = with_opts.with_known_copying(known.clone());
+    }
+    let with = method.run_with_scratch(&context.problem, &with_opts, &mut scratch);
+    let pr_with = precision_recall(context.snapshot, context.gold, &with);
+
+    MethodEvaluation {
+        method: method.name(),
+        category: category.label().to_string(),
+        precision_without_trust: pr_without.precision,
+        recall_without_trust: pr_without.recall,
+        precision_with_trust: pr_with.precision,
+        trust_deviation: deviation,
+        trust_difference: difference,
+        rounds: without.rounds,
+        elapsed: without.elapsed,
+    }
 }
 
 /// Evaluate all sixteen paper methods on a context, in Table-7 order.

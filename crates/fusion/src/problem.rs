@@ -30,10 +30,11 @@
 //!
 //! Preparation has an explicit arena form: [`ProblemBuilder`] owns one
 //! [`FusionProblem`] and re-fills every CSR vector **in place** on each
-//! [`ProblemBuilder::prepare`] call, so a runner that fuses many snapshots in
-//! sequence (the batch evaluation of the longitudinal experiments) keeps one
-//! warm set of allocations instead of rebuilding the problem from scratch per
-//! day. [`FusionProblem::from_snapshot`] is a thin wrapper over a one-shot
+//! [`ProblemBuilder::prepare`] call, so a caller that fuses many snapshots in
+//! sequence (Figure 9's source-prefix sweep, the [`crate::DeltaEngine`]
+//! behind the online service) keeps one warm set of allocations instead of
+//! rebuilding the problem from scratch per snapshot.
+//! [`FusionProblem::from_snapshot`] is a thin wrapper over a one-shot
 //! builder, so the fresh and refill paths are the same code by construction;
 //! a property suite additionally pins refill == fresh across
 //! differently-shaped consecutive snapshots.
@@ -252,7 +253,7 @@ const SIMILARITY_FLOOR: f64 = 0.05;
 /// re-filling every CSR vector **in place** on each [`prepare`] call.
 ///
 /// Capacities grow to the largest snapshot seen and are then reused, so a
-/// shard of a batch evaluation that fuses many consecutive days pays the
+/// caller that prepares many consecutive snapshots pays the
 /// problem-construction allocations only once. The refill path is the *only*
 /// construction path ([`FusionProblem::from_snapshot`] delegates here), so a
 /// warm and a fresh preparation of the same snapshot are identical by
@@ -1046,6 +1047,39 @@ mod tests {
             assert_eq!(item.candidates().len(), item.num_candidates());
             let slots: usize = item.candidates().map(|c| c.providers().len()).sum();
             assert_eq!(slots, item.total_provider_slots());
+        }
+    }
+
+    /// A warm refill plus one shared scratch on a generated Stock world
+    /// fuses exactly like a cold problem: the builder is first warmed on a
+    /// later, differently-shaped day, then refilled with the reference day,
+    /// and every registry method must reproduce the cold run's selection,
+    /// trust and round count.
+    #[test]
+    fn arena_run_matches_cold_run() {
+        use crate::{all_methods, FusionOptions, FusionScratch};
+        use datagen::{generate, stock_config};
+
+        let domain = generate(&stock_config(38).scaled(0.01, 0.1));
+        let mut builder = ProblemBuilder::new();
+        let mut scratch = FusionScratch::new();
+        let last = domain.collection.day(domain.collection.num_days() - 1);
+        builder.prepare(&last.snapshot);
+        let reference = domain.collection.reference_day();
+        let problem = builder.prepare(&reference.snapshot);
+        let cold_problem = FusionProblem::from_snapshot(&reference.snapshot);
+        assert_eq!(*problem, cold_problem);
+        let options = FusionOptions::standard();
+        for (_, method) in all_methods() {
+            let warm = method.run_with_scratch(problem, &options, &mut scratch);
+            let cold = method.run(&cold_problem, &options);
+            assert_eq!(warm.selection, cold.selection, "{} selection", warm.method);
+            assert_eq!(
+                warm.trust.overall, cold.trust.overall,
+                "{} trust",
+                warm.method
+            );
+            assert_eq!(warm.rounds, cold.rounds, "{} rounds", warm.method);
         }
     }
 }

@@ -9,12 +9,9 @@
 //! * [`accuracy`] — source accuracy, coverage, and stability over time
 //!   (Figure 8(a)/(b), Table 4);
 //! * [`reasons`] — attribution of inconsistency to reasons (Figure 6);
-//! * [`copying`] — commonality statistics of copy groups (Table 5);
-//! * [`alloc`] — allocation counting for the efficiency binaries (the
-//!   `--batch` modes report heap-allocation deltas per evaluation pass).
+//! * [`copying`] — commonality statistics of copy groups (Table 5).
 
 pub mod accuracy;
-pub mod alloc;
 pub mod copying;
 pub mod coverage;
 pub mod dominance;
@@ -26,7 +23,6 @@ pub use accuracy::{
     accuracy_histogram, accuracy_over_time, accuracy_over_time_from_daily, authority_report,
     source_accuracies, source_accuracy, SourceAccuracy, SourceAccuracyOverTime,
 };
-pub use alloc::{allocation_count, CountingAllocator};
 pub use copying::{all_copy_group_stats, copy_group_stats, value_commonality, CopyGroupStats};
 pub use coverage::{attribute_coverage_cdf, fraction_covered_by, CoveragePoint};
 pub use dominance::{

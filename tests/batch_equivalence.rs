@@ -1,143 +1,156 @@
-//! Cross-runner equivalence harness for the sharded batch evaluation.
+//! Equivalence harness for multi-day evaluation.
 //!
-//! The batch runner's whole contract is that warm-arena evaluation changes
-//! nothing but the wall clock: `BatchRunner` rows must be **bit-identical**
-//! to `ParallelRunner` rows and to `evaluate_days_sequential` rows on the
-//! same day selection — across seeds, scales, shard counts, and both the
-//! detected and the oracle (known-copying) paths. CI runs this suite in
-//! debug and `--release`, because the float-identical claims must hold
-//! under optimization too.
+//! The (day, method) fan-out's whole contract is that scheduling changes
+//! nothing but the wall clock: `evaluate_days` rows must be
+//! **bit-identical** to the cold sequential reference
+//! (`evaluate_prepared_sequential` over `prepare_contexts`) on the same day
+//! selection — across seeds, scales, day counts, request orders (sparse,
+//! out-of-order, duplicate and one-day selections), both the detected and
+//! the oracle (known-copying) paths, and pool sizes 1, 2 and 3. CI runs this
+//! suite in debug and `--release`, because the float-identical claims must
+//! hold under optimization too.
 
 use datagen::{flight_config, generate, stock_config, GeneratedDomain};
-use evaluation::{
-    evaluate_days_sequential, same_results, BatchRunner, DayEvaluation, ParallelRunner,
-};
+use evaluation::{evaluate_days, evaluate_prepared_sequential, prepare_contexts, same_results};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 
-/// Assert the full three-runner equivalence on every day of `domain`, for
-/// one copy path and one shard count.
-fn assert_three_way(domain: &GeneratedDomain, use_known_copying: bool, shards: usize) {
-    let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
-    let sequential = evaluate_days_sequential(&domain.collection, &indices, use_known_copying);
+/// Serializes the tests' in-process `RAYON_NUM_THREADS` changes, so every
+/// test restores exactly the value it found.
+static POOL_SIZE: Mutex<()> = Mutex::new(());
 
-    let mut parallel = ParallelRunner::new();
-    let mut batch = BatchRunner::new().with_num_shards(shards);
-    if use_known_copying {
-        parallel = parallel.with_known_copying();
-        batch = batch.with_known_copying();
+/// Holds [`POOL_SIZE`] and restores the saved `RAYON_NUM_THREADS` on drop,
+/// also when an assertion unwinds.
+struct PoolSizeGuard {
+    saved: Option<String>,
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl PoolSizeGuard {
+    fn acquire() -> Self {
+        let lock = POOL_SIZE
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        Self {
+            saved: std::env::var("RAYON_NUM_THREADS").ok(),
+            _lock: lock,
+        }
     }
-    let parallel = parallel.evaluate_days(&domain.collection, &indices);
-    let batch = batch.evaluate_days(&domain.collection, &indices);
+}
 
-    assert_eq!(sequential.len(), parallel.days.len());
-    assert_eq!(sequential.len(), batch.days.len());
-    let check = |label: &str, got: &[DayEvaluation]| {
-        for (s, g) in sequential.iter().zip(got) {
-            assert_eq!(s.day_index, g.day_index, "{label}: day order changed");
-            assert_eq!(s.day, g.day, "{label}: day stamps diverged");
-            assert_eq!(g.rows.len(), 16, "{label}: row count");
+impl Drop for PoolSizeGuard {
+    fn drop(&mut self) {
+        match &self.saved {
+            Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
+    }
+}
+
+/// Assert that the fan-out reproduces the sequential reference on
+/// `selection` (request order, duplicates included) for one copy path,
+/// under pool sizes 1, 2 and 3. The rayon stand-in sizes its pool from the
+/// environment per call, so an in-process `set_var` takes effect for the
+/// evaluation that follows.
+fn assert_matches_sequential(
+    domain: &GeneratedDomain,
+    selection: &[usize],
+    use_known_copying: bool,
+) {
+    let reference = evaluate_prepared_sequential(&prepare_contexts(
+        &domain.collection,
+        selection,
+        use_known_copying,
+    ));
+    assert_eq!(reference.len(), selection.len());
+
+    let _pool = PoolSizeGuard::acquire();
+    for threads in [1usize, 2, 3] {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+        let fanout = evaluate_days(&domain.collection, selection, use_known_copying);
+        assert_eq!(fanout.threads, threads);
+        assert_eq!(
+            fanout.days.len(),
+            selection.len(),
+            "{threads} thread(s): day count"
+        );
+        for (position, (s, g)) in reference.iter().zip(&fanout.days).enumerate() {
+            assert_eq!(
+                g.day_index, position,
+                "{threads} thread(s): day order changed"
+            );
+            assert_eq!(s.day, g.day, "{threads} thread(s): day stamps diverged");
+            assert_eq!(g.rows.len(), 16, "{threads} thread(s): row count");
             assert!(
                 same_results(&s.rows, &g.rows),
-                "{label}: rows diverged from sequential on day {} \
-                 (known_copying={use_known_copying}, shards={shards})",
+                "{threads} thread(s): rows diverged from sequential on day {} \
+                 (position {position}, known_copying={use_known_copying})",
                 s.day
             );
         }
-    };
-    check("parallel", &parallel.days);
-    check("batch", &batch.days);
+    }
+}
+
+/// Every day of `domain`, in order, on both copy paths.
+fn assert_all_days(domain: &GeneratedDomain) {
+    let indices: Vec<usize> = (0..domain.collection.num_days()).collect();
+    assert_matches_sequential(domain, &indices, false);
+    assert_matches_sequential(domain, &indices, true);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Random small collections (seed, scale, day count, shard count):
-    /// batch == parallel == sequential bit-identically on both copy paths.
+    /// Random small collections (seed, scale, day count): fan-out ==
+    /// sequential bit-identically on both copy paths and every pool size.
     #[test]
     fn random_collections_agree_across_runners(
         seed in 0u64..10_000,
         scale in 0.004f64..0.012,
         days in 0.05f64..0.25,
-        shards in 1usize..6,
     ) {
         let domain = generate(&stock_config(seed).scaled(scale, days));
         prop_assert!(domain.collection.num_days() >= 1);
-        assert_three_way(&domain, false, shards);
-        assert_three_way(&domain, true, shards);
+        assert_all_days(&domain);
     }
 }
 
 /// The acceptance fixtures: seeded Stock and Flight domains, both copy
-/// paths, through every runner. These are the exact domains the golden
-/// Table-7 suite (`tests/equivalence.rs`) pins, so a divergence here
-/// triangulates immediately.
+/// paths. These are the exact domains the golden Table-7 suite
+/// (`tests/equivalence.rs`) pins, so a divergence here triangulates
+/// immediately.
 #[test]
 fn seeded_stock_fixture_agrees_across_runners() {
-    let stock = generate(&stock_config(2012).scaled(0.02, 0.1));
-    assert_three_way(&stock, false, 2);
-    assert_three_way(&stock, true, 2);
+    assert_all_days(&generate(&stock_config(2012).scaled(0.02, 0.1)));
 }
 
 #[test]
 fn seeded_flight_fixture_agrees_across_runners() {
-    let flight = generate(&flight_config(2012).scaled(0.1, 0.06));
-    assert_three_way(&flight, false, 3);
-    assert_three_way(&flight, true, 3);
+    assert_all_days(&generate(&flight_config(2012).scaled(0.1, 0.06)));
 }
 
-/// Shard-boundary regressions: a single day, more shards than days, and a
-/// day count that does not divide evenly — every plan must reproduce the
-/// sequential rows in order.
+/// Selection shapes: a single day, a day requested twice, and an
+/// out-of-order selection with a repeat — each must come back as the
+/// sequential rows in request order, one entry per requested position.
 #[test]
-fn shard_boundaries_never_reorder_or_drop_rows() {
+fn one_day_duplicate_and_out_of_order_selections_keep_every_row() {
     let domain = generate(&stock_config(77).scaled(0.008, 0.25));
     let num_days = domain.collection.num_days();
     assert!(num_days >= 2, "fixture needs a multi-day collection");
+    let reference = domain.collection.reference_day_index();
 
-    // One day only.
-    let one_day = vec![domain.collection.reference_day_index()];
-    let sequential = evaluate_days_sequential(&domain.collection, &one_day, false);
-    for shards in [1usize, 4] {
-        let batch = BatchRunner::new()
-            .with_num_shards(shards)
-            .evaluate_days(&domain.collection, &one_day);
-        assert_eq!(batch.days.len(), 1);
-        assert_eq!(batch.num_shards, 1, "a single day can only form one shard");
-        assert!(same_results(&sequential[0].rows, &batch.days[0].rows));
-    }
-
-    // Days < shards, and days % shards != 0.
-    let all: Vec<usize> = (0..num_days).collect();
-    let sequential = evaluate_days_sequential(&domain.collection, &all, false);
-    for shards in [num_days + 5, num_days.saturating_sub(1).max(1), 3] {
-        let batch = BatchRunner::new()
-            .with_num_shards(shards)
-            .evaluate_days(&domain.collection, &all);
-        assert_eq!(batch.days.len(), num_days);
-        assert!(batch.num_shards <= num_days.min(shards.max(1)));
-        for (s, b) in sequential.iter().zip(&batch.days) {
-            assert_eq!(s.day_index, b.day_index);
-            assert!(same_results(&s.rows, &b.rows), "shards={shards}");
-        }
-    }
+    assert_matches_sequential(&domain, &[reference], false);
+    assert_matches_sequential(&domain, &[reference, reference], true);
+    assert_matches_sequential(&domain, &[num_days - 1, 0, num_days - 1, 1], false);
 }
 
-/// A subset selection (not starting at day 0, out-of-order-free but sparse)
-/// keeps request order, exactly like the parallel runner.
+/// A sparse subset selection (not starting at day 0) keeps request order.
 #[test]
 fn sparse_day_selections_keep_request_order() {
     let domain = generate(&stock_config(78).scaled(0.008, 0.3));
     let num_days = domain.collection.num_days();
     assert!(num_days >= 3);
     let selection = vec![num_days - 1, 0, num_days / 2];
-    let sequential = evaluate_days_sequential(&domain.collection, &selection, false);
-    let batch = BatchRunner::new()
-        .with_num_shards(2)
-        .evaluate_days(&domain.collection, &selection);
-    assert_eq!(batch.days.len(), selection.len());
-    for (s, b) in sequential.iter().zip(&batch.days) {
-        assert_eq!(s.day_index, b.day_index);
-        assert_eq!(s.day, b.day);
-        assert!(same_results(&s.rows, &b.rows));
-    }
+    assert_matches_sequential(&domain, &selection, false);
+    assert_matches_sequential(&domain, &selection, true);
 }

@@ -238,7 +238,8 @@ proptest! {
     /// same claim order (`FusionProblem` equality compares all of them) —
     /// across consecutive differently-shaped snapshots, including the
     /// empty-day and single-source edge cases. This is the invariant that
-    /// makes the batch runner bit-identical to the cold runners.
+    /// makes every warm refill (Figure 9's prefixes, the delta engine)
+    /// bit-identical to a cold preparation.
     #[test]
     fn arena_refill_equals_fresh_preparation(
         first in prop::collection::vec(10.0f64..1000.0, 2..20),
@@ -325,6 +326,125 @@ proptest! {
             for t in &result.trust.overall {
                 prop_assert!(t.is_finite());
             }
+        }
+    }
+}
+
+/// Build a one-attribute snapshot over `num_sources` schema sources from
+/// `(source, object, value)` claims. Sources without a claim stay in the
+/// schema but never appear in the snapshot.
+fn snapshot_from_claims(num_sources: usize, claims: &[(u32, u32, f64)]) -> Snapshot {
+    let mut schema = DomainSchema::new("degenerate");
+    schema.add_attribute("x", datamodel::AttrKind::Numeric { scale: 100.0 }, false);
+    for i in 0..num_sources {
+        schema.add_source(format!("s{i}"), false);
+    }
+    let mut builder = SnapshotBuilder::new(0);
+    for &(source, object, value) in claims {
+        builder.add(
+            SourceId(source),
+            ObjectId(object),
+            AttrId(0),
+            Value::number(value),
+        );
+    }
+    builder.build(Arc::new(schema))
+}
+
+/// Run all sixteen methods on `snapshot` under `standard()` and under input
+/// trust (the first `num_sources` entries of `trust`), asserting that every
+/// run completes with finite trust, one trust entry per source, and a valid
+/// selection for every item.
+fn assert_methods_survive(world: &str, snapshot: &Snapshot, trust: &[f64]) {
+    let problem = FusionProblem::from_snapshot(snapshot);
+    let input_trust = trust[..problem.num_sources()].to_vec();
+    let runs = [
+        ("standard", FusionOptions::standard()),
+        (
+            "input trust",
+            FusionOptions::standard().with_input_trust(input_trust),
+        ),
+    ];
+    for (label, options) in &runs {
+        for (_, method) in all_methods() {
+            let result = method.run(&problem, options);
+            let context = format!("{world}, {}, {label}", method.name());
+            let trust = &result.trust;
+            assert_eq!(trust.overall.len(), problem.num_sources(), "{context}");
+            assert!(trust.overall.iter().all(|t| t.is_finite()), "{context}");
+            if let Some(per_attr) = &trust.per_attr {
+                assert!(per_attr.values().iter().all(|t| t.is_finite()), "{context}");
+            }
+            assert_eq!(result.selection.len(), problem.num_items(), "{context}");
+            for (item, &chosen) in problem.items().zip(&result.selection) {
+                assert!(chosen < item.num_candidates(), "{context}");
+            }
+            for (item, _) in snapshot.items() {
+                assert!(result.value_for(*item).is_some(), "{context}: {item:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Degenerate worlds — an empty snapshot, a single source, every source
+    /// agreeing, every source disagreeing beyond tolerance, and schema
+    /// sources with zero claims — go through all sixteen methods, with and
+    /// without input trust, without a panic, with finite trust for every
+    /// source, and with a selection for every item.
+    #[test]
+    fn degenerate_worlds_fuse_for_every_method(
+        num_sources in 2usize..7,
+        num_items in 1usize..5,
+        base in 10.0f64..1000.0,
+        trust in prop::collection::vec(0.05f64..0.95, 8..9),
+    ) {
+        let sources = 0..num_sources as u32;
+        let items = 0..num_items as u32;
+        let agree: Vec<(u32, u32, f64)> = sources
+            .clone()
+            .flat_map(|s| items.clone().map(move |o| (s, o, base + o as f64)))
+            .collect();
+        // Neighbouring claims differ by half the base value, far beyond the
+        // numeric tolerance (1% of the median claim).
+        let disagree: Vec<(u32, u32, f64)> = sources
+            .clone()
+            .flat_map(|s| items.clone().map(move |o| (s, o, base * (1.0 + 0.5 * s as f64))))
+            .collect();
+        let single: Vec<(u32, u32, f64)> = items.clone().map(|o| (0, o, base + o as f64)).collect();
+        // Only the first half of the schema's sources claim anything.
+        let claiming = (num_sources as u32).div_ceil(2);
+        let partial: Vec<(u32, u32, f64)> = disagree
+            .iter()
+            .copied()
+            .filter(|&(s, _, _)| s < claiming)
+            .collect();
+
+        let disagreeing = snapshot_from_claims(num_sources, &disagree);
+        let problem = FusionProblem::from_snapshot(&disagreeing);
+        for item in problem.items() {
+            prop_assert_eq!(item.num_candidates(), num_sources);
+        }
+
+        let worlds = [
+            ("empty", snapshot_from_claims(num_sources, &[])),
+            ("single source", snapshot_from_claims(1, &single)),
+            ("all agree", snapshot_from_claims(num_sources, &agree)),
+            ("all disagree", disagreeing),
+            ("zero-claim sources", snapshot_from_claims(num_sources, &partial)),
+        ];
+        let shape = |snapshot: &Snapshot| {
+            let problem = FusionProblem::from_snapshot(snapshot);
+            (problem.num_sources(), problem.num_items())
+        };
+        prop_assert_eq!(shape(&worlds[0].1), (0, 0));
+        prop_assert_eq!(shape(&worlds[1].1), (1, num_items));
+        prop_assert_eq!(shape(&worlds[2].1), (num_sources, num_items));
+        prop_assert_eq!(shape(&worlds[4].1), (claiming as usize, num_items));
+        for (name, snapshot) in &worlds {
+            assert_methods_survive(name, snapshot, &trust);
         }
     }
 }

@@ -19,8 +19,9 @@ use datagen::{generate, mutation_stream, stock_config};
 use datamodel::{ItemId, Snapshot, SnapshotBuilder};
 use fusion::{all_methods, FusionOptions, FusionProblem};
 use service::{day_ops, diff_ops, shuffle, FusionService, Operation, ServiceConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Rebuild `snapshot` without the claim `(skip_source, skip_item)` — the
 /// logical day the convergence test's retraction leaves behind. Tolerances
@@ -142,7 +143,9 @@ fn shuffled_out_of_order_ingest_matches_cold_batch_for_all_methods() {
 
 /// Spin readers against the published slot while the ingest side seals a
 /// stream of mutated days: every observed state is complete and internally
-/// consistent, and day/version never move backwards.
+/// consistent, and day/version never move backwards. The ingest side keeps
+/// the readers running until each has seen a published state (or a deadline
+/// passes), so a reader the scheduler starts late still gets to check one.
 fn readers_never_observe_torn_state(num_readers: usize) {
     let domain = generate(&stock_config(77).scaled(0.006, 0.05));
     let base = domain.collection.reference_day().snapshot.clone();
@@ -157,12 +160,14 @@ fn readers_never_observe_torn_state(num_readers: usize) {
     );
     let reader = svc.reader();
     let stop = Arc::new(AtomicBool::new(false));
+    let readers_seen_published = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..num_readers {
             let reader = reader.clone();
             let stop = Arc::clone(&stop);
+            let seen = Arc::clone(&readers_seen_published);
             handles.push(scope.spawn(move || {
                 let mut last_day = None;
                 let mut last_version = 0u64;
@@ -174,6 +179,10 @@ fn readers_never_observe_torn_state(num_readers: usize) {
                     last_version = state.version();
                     last_day = state.day();
                     if let Some(day) = state.day() {
+                        if observed_published == 0 {
+                            // A bare count that publishes no other data.
+                            seen.fetch_add(1, Ordering::Relaxed);
+                        }
                         observed_published += 1;
                         // A published state is complete: both methods
                         // materialized over the full item set, and answers
@@ -215,6 +224,12 @@ fn readers_never_observe_torn_state(num_readers: usize) {
             );
             prev = day.clone();
         }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while readers_seen_published.load(Ordering::Relaxed) < num_readers
+            && Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
         stop.store(true, Ordering::Relaxed);
         for handle in handles {
             let observed = handle.join().expect("reader panicked");
@@ -233,8 +248,13 @@ fn concurrent_readers_stay_consistent_across_thread_counts() {
     // The rayon stand-in sizes its pool from the environment per call, so
     // both legs run in-process; CI additionally runs the whole suite under
     // exported RAYON_NUM_THREADS legs.
+    let saved = std::env::var("RAYON_NUM_THREADS").ok();
     for threads in [1usize, 2] {
         std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
         readers_never_observe_torn_state(3);
+    }
+    match saved {
+        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
 }
